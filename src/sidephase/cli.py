@@ -22,6 +22,8 @@ from . import constants as const
 from .audit import build_audit, render_table
 from .config import (
     CHANNEL_KINDS,
+    CHANNELS,
+    PARAMS,
     SweepSpec,
     UsageError,
     build_channel,
@@ -35,15 +37,9 @@ from .dephasing import (
     build_profile,
     decoherence_time,
 )
-from .mechanisms import (
-    HyperfineElectronChannel,
-    NuclearImpurityChannel,
-    ParamagneticImpurityChannel,
-    PhononRamanChannel,
-    channel_to_correlation,
-    phonon_rate,
-)
+from .mechanisms import channel_to_correlation, phonon_rate
 from .montecarlo import (
+    DegenerateStatisticsError,
     PlanRejectedError,
     SimulationPlan,
     compare_to_analytic,
@@ -73,14 +69,25 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_json(path: str, payload) -> None:
+def _json_safe(value):
+    """Infinite floats (no decoherence, static noise) become JSON null."""
+    if isinstance(value, float) and math.isinf(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
+def _write_json(path: str | None, payload) -> None:
+    """Strict JSON (NaN is an error) to path, or to stdout without one."""
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    if not path:
+        sys.stdout.write(text + "\n")
+        return
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _json_time(value: float):
-    return None if math.isinf(value) else value
+        fh.write(text + "\n")
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -128,42 +135,13 @@ def _constants_payload() -> dict:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    payload = _constants_payload()
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    _write_json(args.out, _constants_payload())
     return 0
 
 
-def _channel_params(channel) -> dict:
-    if isinstance(channel, HyperfineElectronChannel):
-        return {
-            "a0": channel.a0,
-            "field": channel.field,
-            "temperature": channel.temperature,
-            "tau1": channel.tau1,
-        }
-    if isinstance(channel, PhononRamanChannel):
-        return {"temperature": channel.temperature}
-    if isinstance(channel, ParamagneticImpurityChannel):
-        return {
-            "concentration": channel.concentration,
-            "field": channel.field,
-            "temperature": channel.temperature,
-            "tau1_imp": channel.tau1_imp,
-        }
-    return {
-        "concentration": channel.concentration,
-        "field": channel.field,
-        "spin_temperature": channel.spin_temperature,
-        "t_parallel_imp": channel.t_parallel_imp,
-    }
-
-
 def _channel_report(kind: str, channel, convention: str) -> dict:
-    report: dict = {"channel": kind, "parameters": _channel_params(channel)}
+    parameters = {key: getattr(channel, key) for key in PARAMS[kind]}
+    report: dict = {"channel": kind, "parameters": parameters}
     if kind == "phonon":
         rate_exact = phonon_rate(channel, "exact-integral")
         rate_factorial = phonon_rate(channel, "factorial-approx")
@@ -172,7 +150,7 @@ def _channel_report(kind: str, channel, convention: str) -> dict:
             "factorial-approx": rate_factorial,
         }
         td = math.inf if rate_exact == 0.0 else 1.0 / rate_exact
-        report["decoherence_time_s"] = _json_time(td)
+        report["decoherence_time_s"] = td
         report["flags"] = {
             "insignificant": rate_exact < INSIGNIFICANT_RATE,
             "low_temperature_valid": channel.low_temperature_valid,
@@ -186,15 +164,13 @@ def _channel_report(kind: str, channel, convention: str) -> dict:
     }
     report["variance_rad2_per_s2"] = correlation.variance
     report["correlation_time_s"] = correlation.tau_c
-    report["decoherence_time_s"] = {
-        name: _json_time(value) for name, value in times.items()
-    }
+    report["decoherence_time_s"] = times
     report["selected_convention"] = convention
-    report["selected_decoherence_time_s"] = _json_time(times[convention])
+    report["selected_decoherence_time_s"] = times[convention]
     flags = {"infinite_decoherence_time": math.isinf(times[convention])}
-    if isinstance(channel, HyperfineElectronChannel):
+    if kind == "hyperfine":
         flags["adiabatic"] = channel.adiabatic
-    if isinstance(channel, NuclearImpurityChannel):
+    if kind == "nuclear":
         flags["polarized"] = channel.polarized
     report["flags"] = flags
     return report
@@ -212,19 +188,16 @@ def _profile_for(channel, kind: str, t_max: float, t_points: int) -> Decoherence
 
 
 def cmd_channel(args: argparse.Namespace) -> int:
+    if args.profile_out and args.t_max is None:
+        raise UsageError("--profile-out requires --t-max")
+    if args.t_max is not None and not 0.0 < args.t_max < math.inf:
+        raise UsageError("--t-max must be positive and finite")
     params: dict[str, float] = {}
     if args.config:
         params = read_channel_config(args.config).get(args.kind, {})
     channel = build_channel(args.kind, params)
-    report = _channel_report(args.kind, channel, args.convention)
-    if args.out:
-        _write_json(args.out, report)
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    _write_json(args.out, _channel_report(args.kind, channel, args.convention))
     if args.profile_out:
-        if args.t_max is None:
-            raise UsageError("--profile-out requires --t-max")
         profile = _profile_for(channel, args.kind, args.t_max, args.t_points)
         with open(args.profile_out, "w", newline="") as fh:
             profile.write_csv(fh)
@@ -256,8 +229,8 @@ def _sweep_header(spec: SweepSpec) -> list[str]:
 def _sweep_row(spec: SweepSpec, value: float) -> list:
     params = dict(spec.fixed)
     if spec.param == "ratio":
-        base = build_channel(spec.kind, params)
-        params["field"] = value * base.temperature
+        temperature = params.get("temperature", CHANNELS[spec.kind].temperature)
+        params["field"] = value * temperature
     else:
         params[spec.param] = value
     channel = build_channel(spec.kind, params)
@@ -302,14 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     header = _sweep_header(spec)
     rows = [_sweep_row(spec, float(v)) for v in grid_values(spec)]
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        for entry in payload:
-            for key, val in entry.items():
-                if isinstance(val, bool):
-                    continue
-                if isinstance(val, float) and math.isinf(val):
-                    entry[key] = None
-        _write_json(args.out, payload)
+        _write_json(args.out, [dict(zip(header, row)) for row in rows])
     else:
         _write_csv(args.out, header, rows)
     return 0
@@ -356,7 +322,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
                 "n_steps": plan.n_steps,
                 "t_max": plan.t_max,
                 "variance": correlation.variance,
-                "tau_c": _json_time(correlation.tau_c),
+                "tau_c": correlation.tau_c,
                 "master_seed": plan.master_seed,
                 "mismatch_tau_c": args.mismatch_tau_c,
             },
@@ -451,12 +417,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PlanRejectedError as exc:
         print(f"plan rejected: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, DegenerateStatisticsError) as exc:
+        # UsageError and the library's argument checks alike: exit 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from .mechanisms import (
 
 __all__ = [
     "UsageError",
+    "CHANNELS",
     "CHANNEL_KINDS",
+    "PARAMS",
     "SWEEPABLE",
     "SweepSpec",
     "parse_grid",
@@ -37,31 +39,35 @@ class UsageError(ValueError):
     """Bad user input: unknown keys, malformed grids, missing files."""
 
 
-CHANNEL_KINDS = ("hyperfine", "phonon", "paramagnetic", "nuclear")
+# The channel dataclasses are the one place a channel's parameters are
+# named; config keys, sweep parameters and report parameters derive from
+# their fields.
+CHANNELS = {
+    "hyperfine": HyperfineElectronChannel,
+    "phonon": PhononRamanChannel,
+    "paramagnetic": ParamagneticImpurityChannel,
+    "nuclear": NuclearImpurityChannel,
+}
+CHANNEL_KINDS = tuple(CHANNELS)
+
+# Dataclass fields fixed by the physics (couplings, geometry, material),
+# never set from a config file or swept.
+_FIXED_FIELDS = frozenset(
+    {"gamma_i", "gamma_s", "gamma_imp", "min_distance", "material", "constants"}
+)
 
 # Keys accepted in a config section, per channel kind.
-_KNOWN_KEYS: dict[str, frozenset[str]] = {
-    "hyperfine": frozenset({"a0", "field", "temperature", "tau1"}),
-    "phonon": frozenset({"temperature"}),
-    "paramagnetic": frozenset(
-        {"concentration", "field", "temperature", "tau1_imp"}
-    ),
-    "nuclear": frozenset(
-        {"concentration", "field", "spin_temperature", "t_parallel_imp"}
-    ),
+PARAMS: dict[str, tuple[str, ...]] = {
+    kind: tuple(f.name for f in fields(cls) if f.name not in _FIXED_FIELDS)
+    for kind, cls in CHANNELS.items()
 }
 
 # Parameters a sweep may vary.  "ratio" sweeps field/temperature at the
 # channel's fixed temperature by adjusting the field.
 SWEEPABLE: dict[str, frozenset[str]] = {
-    "hyperfine": frozenset({"field", "temperature", "ratio", "a0", "tau1"}),
-    "phonon": frozenset({"temperature"}),
-    "paramagnetic": frozenset(
-        {"concentration", "field", "temperature", "ratio", "tau1_imp"}
-    ),
-    "nuclear": frozenset(
-        {"concentration", "field", "spin_temperature", "t_parallel_imp"}
-    ),
+    kind: frozenset(params)
+    | ({"ratio"} if {"field", "temperature"} <= set(params) else set())
+    for kind, params in PARAMS.items()
 }
 
 
@@ -73,9 +79,9 @@ def read_channel_config(path: str) -> dict[str, dict[str, float]]:
         raise UsageError(f"config file not found: {path}")
     result: dict[str, dict[str, float]] = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in PARAMS:
             raise UsageError(f"unknown config section: [{section}]")
-        known = _KNOWN_KEYS[section]
+        known = PARAMS[section]
         values: dict[str, float] = {}
         for key, raw in parser.items(section):
             if key not in known:
@@ -95,17 +101,11 @@ def build_channel(kind: str, params: dict[str, float] | None = None):
     params = dict(params or {})
     if kind not in CHANNEL_KINDS:
         raise UsageError(f"unknown channel kind: {kind!r}")
-    unknown = set(params) - _KNOWN_KEYS[kind]
+    unknown = set(params) - set(PARAMS[kind])
     if unknown:
         raise UsageError(f"unknown parameters for {kind}: {sorted(unknown)}")
     try:
-        if kind == "hyperfine":
-            return HyperfineElectronChannel(**params)
-        if kind == "phonon":
-            return PhononRamanChannel(**params)
-        if kind == "paramagnetic":
-            return ParamagneticImpurityChannel(**params)
-        return NuclearImpurityChannel(**params)
+        return CHANNELS[kind](**params)
     except ValueError as exc:
         raise UsageError(f"invalid {kind} parameters: {exc}") from exc
 

@@ -44,8 +44,8 @@ class ExponentialCorrelation:
     tau_c: float
 
     def __post_init__(self) -> None:
-        if self.variance < 0.0:
-            raise ValueError("variance must be nonnegative")
+        if not 0.0 <= self.variance < math.inf:
+            raise ValueError("variance must be finite and nonnegative")
         if not self.tau_c > 0.0:
             raise ValueError("tau_c must be positive (math.inf for static noise)")
 

@@ -68,6 +68,17 @@ class ThresholdUnattainableError(ValueError):
     """No field/temperature ratio reaches the requested target."""
 
 
+def _require_finite(channel) -> None:
+    """Reject NaN and infinite float fields; NaN passes every `x < 0` check."""
+    bad = [
+        name
+        for name, value in vars(channel).items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
+
+
 @dataclass(frozen=True)
 class HyperfineElectronChannel:
     """Frequency noise from thermal flips of the donor electron.
@@ -86,6 +97,7 @@ class HyperfineElectronChannel:
     constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.a0 <= 0.0 or self.temperature <= 0.0 or self.tau1 <= 0.0:
             raise ValueError("a0, temperature, and tau1 must be positive")
         if self.field < 0.0:
@@ -119,6 +131,7 @@ class PhononRamanChannel:
     constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
 
@@ -213,6 +226,7 @@ class ParamagneticImpurityChannel:
     constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.concentration < 0.0:
             raise ValueError("concentration must be nonnegative")
         if self.temperature <= 0.0 or self.tau1_imp <= 0.0 or self.min_distance <= 0.0:
@@ -265,6 +279,7 @@ class NuclearImpurityChannel:
     constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.concentration < 0.0:
             raise ValueError("concentration must be nonnegative")
         if (
@@ -390,21 +405,24 @@ def max_nuclear_impurity_concentration(
     )
 
 
+# Adiabatic channel type -> (variance function, correlation-time field).
+_CORRELATIONS = {
+    HyperfineElectronChannel: (hyperfine_variance, "tau1"),
+    ParamagneticImpurityChannel: (paramagnetic_variance, "tau1_imp"),
+    NuclearImpurityChannel: (nuclear_impurity_variance, "t_parallel_imp"),
+}
+
+
 def channel_to_correlation(channel) -> ExponentialCorrelation:
     """Map an adiabatic channel to its (variance, correlation time) pair.
 
     The phonon channel is a rate, not frequency noise, and is rejected.
     """
-    if isinstance(channel, HyperfineElectronChannel):
-        return ExponentialCorrelation(hyperfine_variance(channel), channel.tau1)
-    if isinstance(channel, ParamagneticImpurityChannel):
-        return ExponentialCorrelation(paramagnetic_variance(channel), channel.tau1_imp)
-    if isinstance(channel, NuclearImpurityChannel):
-        return ExponentialCorrelation(
-            nuclear_impurity_variance(channel), channel.t_parallel_imp
-        )
-    if isinstance(channel, PhononRamanChannel):
+    try:
+        variance, tau_field = _CORRELATIONS[type(channel)]
+    except KeyError:
         raise UnsupportedChannelError(
-            "phonon channel is a direct rate, not an exponential correlation"
-        )
-    raise UnsupportedChannelError(f"unknown channel type: {type(channel).__name__}")
+            f"{type(channel).__name__} has no exponential correlation "
+            "(the phonon channel is a direct rate)"
+        ) from None
+    return ExponentialCorrelation(variance(channel), getattr(channel, tau_field))

@@ -67,8 +67,8 @@ class SimulationPlan:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         if self.n_steps < 1 or self.n_trajectories < 1:
             raise ValueError("n_steps and n_trajectories must be at least 1")
         if not 0 <= self.master_seed < _MAX_SEED:
