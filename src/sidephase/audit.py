@@ -26,12 +26,12 @@ from .constants import (
     spin_half_variance,
     spin_half_variance_full_arg,
 )
-from .dephasing import ExponentialCorrelation, decoherence_time
+from .dephasing import decoherence_time
 from .mechanisms import (
     HyperfineElectronChannel,
     ParamagneticImpurityChannel,
     PhononRamanChannel,
-    hyperfine_variance,
+    channel_to_correlation,
     max_nuclear_impurity_concentration,
     max_paramagnetic_concentration,
     paramagnetic_variance,
@@ -119,10 +119,7 @@ def build_audit() -> list[AuditEntry]:
     hyperfine = HyperfineElectronChannel(
         field=_REFERENCE_FIELD, temperature=_REFERENCE_TEMPERATURE
     )
-    td_static = decoherence_time(
-        ExponentialCorrelation(hyperfine_variance(hyperfine), hyperfine.tau1),
-        "static",
-    )
+    td_static = decoherence_time(channel_to_correlation(hyperfine), "static")
     entries.append(
         _entry(
             "hyperfine-dephasing-time",

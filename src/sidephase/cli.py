@@ -62,11 +62,12 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """The first row's keys are the header; every row is in that order."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
 
 def _json_safe(value):
@@ -204,29 +205,8 @@ def cmd_channel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_header(spec: SweepSpec) -> list[str]:
-    if spec.kind == "phonon":
-        return [
-            spec.param,
-            "rate_exact",
-            "rate_factorial",
-            "td_linear",
-            "low_temperature_valid",
-        ]
-    header = [
-        spec.param,
-        "variance",
-        "tau_c",
-        "td_static",
-        "td_markovian",
-        "td_unit_gamma",
-    ]
-    if spec.kind == "nuclear":
-        header += ["polarization_x", "polarized"]
-    return header
-
-
-def _sweep_row(spec: SweepSpec, value: float) -> list:
+def _sweep_row(spec: SweepSpec, value: float) -> dict:
+    """One sweep row: the swept value, then fields of the channel report."""
     params = dict(spec.fixed)
     if spec.param == "ratio":
         temperature = params.get("temperature", CHANNELS[spec.kind].temperature)
@@ -234,27 +214,27 @@ def _sweep_row(spec: SweepSpec, value: float) -> list:
     else:
         params[spec.param] = value
     channel = build_channel(spec.kind, params)
+    report = _channel_report(spec.kind, channel, "static")
     if spec.kind == "phonon":
-        rate_exact = phonon_rate(channel, "exact-integral")
-        td = math.inf if rate_exact == 0.0 else 1.0 / rate_exact
-        return [
-            value,
-            rate_exact,
-            phonon_rate(channel, "factorial-approx"),
-            td,
-            channel.low_temperature_valid,
-        ]
-    correlation = channel_to_correlation(channel)
-    row = [
-        value,
-        correlation.variance,
-        correlation.tau_c,
-        decoherence_time(correlation, "static"),
-        decoherence_time(correlation, "markovian"),
-        decoherence_time(correlation, "unit-gamma"),
-    ]
+        return {
+            spec.param: value,
+            "rate_exact": report["rates_per_s"]["exact-integral"],
+            "rate_factorial": report["rates_per_s"]["factorial-approx"],
+            "td_linear": report["decoherence_time_s"],
+            "low_temperature_valid": report["flags"]["low_temperature_valid"],
+        }
+    times = report["decoherence_time_s"]
+    row = {
+        spec.param: value,
+        "variance": report["variance_rad2_per_s2"],
+        "tau_c": report["correlation_time_s"],
+        "td_static": times["static"],
+        "td_markovian": times["markovian"],
+        "td_unit_gamma": times["unit-gamma"],
+    }
     if spec.kind == "nuclear":
-        row += [channel.polarization_x, channel.polarized]
+        row["polarization_x"] = channel.polarization_x
+        row["polarized"] = report["flags"]["polarized"]
     return row
 
 
@@ -272,19 +252,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         scale=scale,
         fixed=fixed,
     )
-    header = _sweep_header(spec)
     rows = [_sweep_row(spec, float(v)) for v in grid_values(spec)]
     if args.format == "json":
-        _write_json(args.out, [dict(zip(header, row)) for row in rows])
+        _write_json(args.out, rows)
     else:
-        _write_csv(args.out, header, rows)
+        _write_csv(args.out, rows)
     return 0
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    if not 0 <= seed < 2 ** 64:
-        raise UsageError("seed must fit in 64 bits")
     correlation = ExponentialCorrelation(args.variance, args.tau_c)
     plan = SimulationPlan(
         correlation=correlation,
@@ -300,19 +277,18 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
             correlation.variance, correlation.tau_c * args.mismatch_tau_c
         )
     comparison = compare_to_analytic(result, reference)
-    header = ["t", "re_mean", "im_mean", "std_error", "analytic_envelope", "z"]
     rows = [
-        [
-            result.times[i],
-            result.mean_coherence[i].real,
-            result.mean_coherence[i].imag,
-            result.std_error[i],
-            comparison.analytic_envelope[i],
-            comparison.z_scores[i],
-        ]
+        {
+            "t": result.times[i],
+            "re_mean": result.mean_coherence[i].real,
+            "im_mean": result.mean_coherence[i].imag,
+            "std_error": result.std_error[i],
+            "analytic_envelope": comparison.analytic_envelope[i],
+            "z": comparison.z_scores[i],
+        }
         for i in range(len(result.times))
     ]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, rows)
     if args.summary_out:
         _write_json(
             args.summary_out,
@@ -420,8 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except PlanRejectedError as exc:
         print(f"plan rejected: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, DegenerateStatisticsError) as exc:
-        # UsageError and the library's argument checks alike: exit 2.
+    except (ValueError, OverflowError, DegenerateStatisticsError) as exc:
+        # UsageError, the library's argument checks, and finite inputs too
+        # large for float arithmetic alike: exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -237,7 +237,7 @@ class ParamagneticImpurityChannel:
             warnings.warn(
                 "concentration times cutoff volume >= 1; the dilute "
                 "expansion is unreliable",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the caller
             )
 
     @property
@@ -354,20 +354,22 @@ def max_paramagnetic_concentration(
 ) -> float:
     """Largest impurity concentration (1/m^3) keeping the static time.
 
-    The variance is linear in concentration, so the bound is a direct
-    inversion at variance = target^-2.
+    Inverts paramagnetic_variance, which is linear in concentration:
+    target^-2 over the variance at unit concentration.  At 1 K the field
+    equals the B/T ratio.
     """
     if target_dephasing_time <= 0.0 or field_temperature_ratio < 0.0:
         raise ValueError("target must be positive and ratio nonnegative")
-    x = abs(gamma_s) * constants.hbar * field_temperature_ratio / constants.k_boltzmann
-    per_concentration = (
-        _dipolar_prefactor(gamma_i, gamma_s, constants)
-        * 16.0
-        * math.pi
-        / (15.0 * min_distance ** 3)
-        * spin_half_variance(x)
+    unit = ParamagneticImpurityChannel(
+        1.0,
+        field_temperature_ratio,
+        1.0,
+        gamma_i=gamma_i,
+        gamma_s=gamma_s,
+        min_distance=min_distance,
+        constants=constants,
     )
-    return target_dephasing_time ** -2 / per_concentration
+    return target_dephasing_time ** -2 / paramagnetic_variance(unit)
 
 
 @dataclass(frozen=True)
@@ -387,18 +389,23 @@ def max_nuclear_impurity_concentration(
     min_distance: float = SILICON.min_distance,
     constants: PhysicalConstants = CONSTANTS,
 ) -> ConcentrationBound:
-    """Largest nuclear-impurity concentration keeping the static time."""
+    """Largest nuclear-impurity concentration keeping the static time.
+
+    Inverts nuclear_impurity_variance, which is linear in concentration:
+    target^-2 over the variance at unit concentration.
+    """
     if target_dephasing_time <= 0.0:
         raise ValueError("target_dephasing_time must be positive")
-    x = boltzmann_ratio(gamma_imp, field, spin_temperature, constants)
-    per_concentration = (
-        _dipolar_prefactor(gamma_i, gamma_imp, constants)
-        * 4.0
-        * math.pi
-        / (15.0 * min_distance ** 3)
-        * (1.0 - math.tanh(x) ** 2)
+    unit = NuclearImpurityChannel(
+        1.0,
+        field,
+        spin_temperature,
+        gamma_i=gamma_i,
+        gamma_imp=gamma_imp,
+        min_distance=min_distance,
+        constants=constants,
     )
-    per_m3 = target_dephasing_time ** -2 / per_concentration
+    per_m3 = target_dephasing_time ** -2 / nuclear_impurity_variance(unit)
     site_density = min_distance ** -3
     return ConcentrationBound(
         per_m3=per_m3, percent_of_sites=100.0 * per_m3 / site_density

@@ -16,6 +16,7 @@ therefore byte-stable under any worker count or scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -180,7 +181,7 @@ def ensemble_coherence(
 
     Workers only fill disjoint, index-addressed rows; the reduction is a
     single fixed-order pass over the completed arrays, so results do not
-    depend on n_workers.
+    depend on n_workers, which is capped at the CPU count.
     """
     grid_idx = _output_indices(plan.n_steps, n_grid)
     dt = plan.dt
@@ -193,6 +194,7 @@ def ensemble_coherence(
         phasors[index] = np.exp(1j * phase)
         phase_sq[index] = phase * phase
 
+    n_workers = min(n_workers, os.cpu_count() or 1)
     if n_workers <= 1:
         for i in range(plan.n_trajectories):
             fill(i)

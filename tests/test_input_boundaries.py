@@ -6,13 +6,17 @@ stderr, never in a traceback or in NaN-filled output.
 
 import json
 import math
+import os
+import warnings
 
 import pytest
 
+from sidephase import montecarlo
 from sidephase.cli import _write_json, main
 from sidephase.config import CHANNELS, PARAMS
 from sidephase.dephasing import ExponentialCorrelation
-from sidephase.montecarlo import SimulationPlan
+from sidephase.mechanisms import ParamagneticImpurityChannel
+from sidephase.montecarlo import SimulationPlan, ensemble_coherence
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -132,3 +136,72 @@ class TestCliExitsTwo:
         code = main(_montecarlo_argv(tmp_path, tau_c="0.5", n_steps="10"))
         assert code == 3
         assert capsys.readouterr().err.startswith("plan rejected: ")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        code = main(_montecarlo_argv(tmp_path, seed=seed))
+        _assert_usage_error(code, capsys)
+        assert not (tmp_path / "mc.csv").exists()
+
+
+class TestOverflowExitsTwo:
+    """Finite inputs too large for float arithmetic: exit 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "kind,body",
+        [("hyperfine", "a0 = 1e200"), ("phonon", "temperature = 1e300")],
+    )
+    def test_channel(self, tmp_path, capsys, kind, body):
+        cfg = tmp_path / "ch.ini"
+        cfg.write_text(f"[{kind}]\n{body}\n")
+        _assert_usage_error(main(["channel", kind, "--config", str(cfg)]), capsys)
+
+    def test_sweep(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--channel", "hyperfine", "--param", "a0"]
+        argv += ["--grid", "1e100:1e200:3:log", "--out", str(out)]
+        _assert_usage_error(main(argv), capsys)
+        assert not out.exists()
+
+
+def test_dilute_warning_names_the_caller():
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        ParamagneticImpurityChannel(concentration=1e300)
+    assert len(record) == 1
+    assert record[0].filename == __file__
+
+
+class _SerialPool:
+    """ThreadPoolExecutor stand-in: records max_workers, maps in order."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkersCap:
+    PLAN = SimulationPlan(ExponentialCorrelation(1.0, math.inf), 1.0, 40, 8, 0)
+
+    @pytest.mark.parametrize(
+        "cpus,requested,resolved",
+        [(3, 1000, [3]), (3, 2, [2]), (None, 1000, []), (1, 4, [])],
+    )
+    def test_resolved_worker_count(self, monkeypatch, cpus, requested, resolved):
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "seen", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        result = ensemble_coherence(self.PLAN, n_grid=4, n_workers=requested)
+        assert _SerialPool.seen == resolved
+        serial = ensemble_coherence(self.PLAN, n_grid=4, n_workers=1)
+        assert result.mean_coherence.tobytes() == serial.mean_coherence.tobytes()

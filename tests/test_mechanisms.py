@@ -1,9 +1,12 @@
 """Noise channels: variances, rates, thresholds, and correlation mapping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -339,3 +342,39 @@ class TestChannelToCorrelation:
             exact = gamma_exact(corr, 1.0)
             frozen = gamma_static(corr, 1.0)
             assert abs(exact / frozen - 1.0) < 1e-4
+
+
+class TestBoundsInvertVariances:
+    """A channel built at a bound concentration sits exactly on the target."""
+
+    targets = st.floats(1e-6, 1e3)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        target=targets,
+        ratio=st.floats(0.0, 40.0),
+        temperature=st.floats(0.01, 10.0),
+    )
+    def test_paramagnetic(self, target, ratio, temperature):
+        bound = max_paramagnetic_concentration(target, ratio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # dense bounds
+            ch = ParamagneticImpurityChannel(
+                concentration=bound, field=ratio * temperature, temperature=temperature
+            )
+        assert paramagnetic_variance(ch) * target ** 2 == pytest.approx(1.0, rel=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        target=targets,
+        field=st.floats(0.0, 3.0),
+        spin_temperature=st.floats(1e-4, 1.0),
+    )
+    def test_nuclear(self, target, field, spin_temperature):
+        bound = max_nuclear_impurity_concentration(target, field, spin_temperature)
+        ch = NuclearImpurityChannel(
+            concentration=bound.per_m3, field=field, spin_temperature=spin_temperature
+        )
+        assert nuclear_impurity_variance(ch) * target ** 2 == pytest.approx(
+            1.0, rel=1e-12
+        )
