@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .constants import (
-    CONSTANTS,
     ELECTRON,
     SILICON,
     SILICON_29,
@@ -188,9 +187,7 @@ def build_audit() -> list[AuditEntry]:
         )
     )
 
-    temperature_threshold = (
-        abs(SILICON_29.gamma) * CONSTANTS.hbar * _REFERENCE_FIELD / CONSTANTS.k_boltzmann
-    )
+    temperature_threshold = boltzmann_ratio(SILICON_29.gamma, _REFERENCE_FIELD, 1.0)
     entries.append(
         _entry(
             "impurity-polarization-temperature",

@@ -32,12 +32,13 @@ from .config import (
     read_channel_config,
 )
 from .dephasing import (
+    CONVENTIONS,
     DecoherenceProfile,
     ExponentialCorrelation,
     build_profile,
     decoherence_time,
 )
-from .mechanisms import channel_to_correlation, phonon_rate
+from .mechanisms import PHONON_MODES, channel_to_correlation, phonon_rate
 from .montecarlo import (
     DegenerateStatisticsError,
     PlanRejectedError,
@@ -49,8 +50,6 @@ from .montecarlo import (
 __all__ = ["main"]
 
 INSIGNIFICANT_RATE = 1e-20  # 1/s; below this a rate is reported as negligible
-
-CONVENTIONS = ("static", "markovian", "unit-gamma")
 
 
 def _fmt(value) -> str:
@@ -141,15 +140,21 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _channel_report(kind: str, channel, convention: str) -> dict:
+    try:
+        return _report(kind, channel, convention)
+    except OverflowError:
+        raise UsageError(
+            f"{kind} channel: an input is too large for float arithmetic"
+        ) from None
+
+
+def _report(kind: str, channel, convention: str) -> dict:
     parameters = {key: getattr(channel, key) for key in PARAMS[kind]}
     report: dict = {"channel": kind, "parameters": parameters}
     if kind == "phonon":
-        rate_exact = phonon_rate(channel, "exact-integral")
-        rate_factorial = phonon_rate(channel, "factorial-approx")
-        report["rates_per_s"] = {
-            "exact-integral": rate_exact,
-            "factorial-approx": rate_factorial,
-        }
+        rates = {mode: phonon_rate(channel, mode) for mode in PHONON_MODES}
+        report["rates_per_s"] = rates
+        rate_exact = rates["exact-integral"]
         td = math.inf if rate_exact == 0.0 else 1.0 / rate_exact
         report["decoherence_time_s"] = td
         report["flags"] = {
@@ -193,6 +198,8 @@ def cmd_channel(args: argparse.Namespace) -> int:
         raise UsageError("--profile-out requires --t-max")
     if args.t_max is not None and not 0.0 < args.t_max < math.inf:
         raise UsageError("--t-max must be positive and finite")
+    if args.t_points < 2:
+        raise UsageError("--t-points must be at least 2")
     params: dict[str, float] = {}
     if args.config:
         params = read_channel_config(args.config).get(args.kind, {})
@@ -398,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValueError, OverflowError, DegenerateStatisticsError) as exc:
         # UsageError, the library's argument checks, and finite inputs too
-        # large for float arithmetic alike: exit 2.
+        # large for float arithmetic outside a channel report alike: exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

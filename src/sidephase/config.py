@@ -40,8 +40,8 @@ class UsageError(ValueError):
 
 
 # The channel dataclasses are the one place a channel's parameters are
-# named; config keys, sweep parameters and report parameters derive from
-# their fields.
+# named; config keys, sweep parameters and report parameters are their
+# fields.  Couplings, cutoff and material come from the constants registry.
 CHANNELS = {
     "hyperfine": HyperfineElectronChannel,
     "phonon": PhononRamanChannel,
@@ -50,16 +50,9 @@ CHANNELS = {
 }
 CHANNEL_KINDS = tuple(CHANNELS)
 
-# Dataclass fields fixed by the physics (couplings, geometry, material),
-# never set from a config file or swept.
-_FIXED_FIELDS = frozenset(
-    {"gamma_i", "gamma_s", "gamma_imp", "min_distance", "material", "constants"}
-)
-
 # Keys accepted in a config section, per channel kind.
 PARAMS: dict[str, tuple[str, ...]] = {
-    kind: tuple(f.name for f in fields(cls) if f.name not in _FIXED_FIELDS)
-    for kind, cls in CHANNELS.items()
+    kind: tuple(f.name for f in fields(cls)) for kind, cls in CHANNELS.items()
 }
 
 # Parameters a sweep may vary.  "ratio" sweeps field/temperature at the

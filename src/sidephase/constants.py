@@ -179,12 +179,7 @@ SILICON = MaterialParams.from_cgs(
 )
 
 
-def boltzmann_ratio(
-    gamma: float,
-    field: float,
-    temperature: float,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def boltzmann_ratio(gamma: float, field: float, temperature: float) -> float:
     """Zeeman-to-thermal energy ratio x = |gamma| hbar B / (k T).
 
     Parameters
@@ -197,7 +192,7 @@ def boltzmann_ratio(
         raise ValueError("temperature must be positive")
     if field < 0.0:
         raise ValueError("field must be nonnegative")
-    return abs(gamma) * constants.hbar * field / (constants.k_boltzmann * temperature)
+    return abs(gamma) * CONSTANTS.hbar * field / (CONSTANTS.k_boltzmann * temperature)
 
 
 def spin_half_variance(x: float) -> float:

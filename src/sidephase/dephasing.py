@@ -24,7 +24,11 @@ __all__ = [
     "decoherence_time",
     "build_profile",
     "bisect_increasing",
+    "CONVENTIONS",
 ]
+
+# Decoherence-time conventions, see decoherence_time.
+CONVENTIONS = ("static", "markovian", "unit-gamma")
 
 # Below this t/tau_c the closed form loses digits to cancellation and the
 # quartic series is used instead (its truncation error there is ~1e-20
@@ -98,22 +102,17 @@ def coherence_envelope(correlation: ExponentialCorrelation, t: float) -> float:
     return math.exp(-gamma_exact(correlation, t))
 
 
-def bisect_increasing(
-    func,
-    lo: float,
-    hi: float,
-    rtol: float,
-    max_iter: int = 200,
-) -> float:
+def bisect_increasing(func, lo: float, hi: float, rtol: float) -> float:
     """Root of an increasing func on [lo, hi] by bisection.
 
-    Requires func(lo) <= 0 <= func(hi); converges to rtol relative width.
+    Requires func(lo) <= 0 <= func(hi); converges to rtol relative width,
+    or stops after 200 halvings.
     """
     f_lo = func(lo)
     f_hi = func(hi)
     if f_lo > 0.0 or f_hi < 0.0:
         raise ValueError("root is not bracketed")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rtol * mid:
             return mid
@@ -136,7 +135,7 @@ def decoherence_time(
 
     Zero variance returns math.inf under every convention.
     """
-    if convention not in ("static", "markovian", "unit-gamma"):
+    if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention: {convention!r}")
     if correlation.variance == 0.0:
         return math.inf

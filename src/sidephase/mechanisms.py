@@ -17,6 +17,11 @@ moment form: the angular average of (1 - 3 cos^2 theta)^2 over the sphere
 is 4/5, the radial integral of r^-6 from the cutoff a is 1/(3 a^3), and
 their product with the full solid angle gives 16 pi / (15 a^3).  The
 cutoff a is the per-site distance, a^3 = 1/site_density.
+
+A channel holds only its own parameters (its config keys).  The
+gyromagnetic ratios, the cutoff and the silicon material parameters are
+read from the constants registry (ELECTRON, PHOSPHORUS_31, SILICON_29,
+SILICON, CONSTANTS).
 """
 
 from __future__ import annotations
@@ -33,8 +38,6 @@ from .constants import (
     PHOSPHORUS_31,
     SILICON,
     SILICON_29,
-    MaterialParams,
-    PhysicalConstants,
     boltzmann_ratio,
     spin_half_variance,
 )
@@ -93,8 +96,6 @@ class HyperfineElectronChannel:
     field: float = 2.0
     temperature: float = 0.1
     tau1: float = 1e4
-    gamma_s: float = ELECTRON.gamma
-    constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -105,12 +106,12 @@ class HyperfineElectronChannel:
 
     @property
     def x(self) -> float:
-        return boltzmann_ratio(self.gamma_s, self.field, self.temperature, self.constants)
+        return boltzmann_ratio(ELECTRON.gamma, self.field, self.temperature)
 
     @property
     def adiabatic(self) -> bool:
         """Electron precession much faster than its flip rate."""
-        return abs(self.gamma_s) * self.field * self.tau1 > 1.0
+        return abs(ELECTRON.gamma) * self.field * self.tau1 > 1.0
 
 
 def hyperfine_variance(channel: HyperfineElectronChannel) -> float:
@@ -126,9 +127,7 @@ class PhononRamanChannel:
     at low temperature.  Not reducible to a variance/correlation pair.
     """
 
-    material: MaterialParams = SILICON
     temperature: float = 0.1
-    constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -137,7 +136,7 @@ class PhononRamanChannel:
 
     @property
     def t_over_theta(self) -> float:
-        return self.temperature / self.material.debye_temperature
+        return self.temperature / SILICON.debye_temperature
 
     @property
     def low_temperature_valid(self) -> bool:
@@ -188,19 +187,17 @@ def phonon_rate(channel: PhononRamanChannel, mode: str = "exact-integral") -> fl
     """
     if mode not in PHONON_MODES:
         raise ValueError(f"unknown phonon mode: {mode!r}")
-    m = channel.material
-    c = channel.constants
     if mode == "exact-integral":
         integral = debye_integral(1.0 / channel.t_over_theta)
     else:
         integral = _PHONON_FACTORIAL_6
-    energy_ratio = c.hbar / (m.atom_mass * m.sound_velocity ** 2)
+    energy_ratio = CONSTANTS.hbar / (SILICON.atom_mass * SILICON.sound_velocity ** 2)
     return (
         (81.0 * math.pi / 8.0)
-        * m.xi ** 2
-        * m.hyperfine_constant ** 2
+        * SILICON.xi ** 2
+        * SILICON.hyperfine_constant ** 2
         * energy_ratio ** 2
-        * (c.k_boltzmann * m.debye_temperature / c.hbar)
+        * (CONSTANTS.k_boltzmann * SILICON.debye_temperature / CONSTANTS.hbar)
         * channel.t_over_theta ** 7
         * integral
     )
@@ -210,30 +207,26 @@ def phonon_rate(channel: PhononRamanChannel, mode: str = "exact-integral") -> fl
 class ParamagneticImpurityChannel:
     """Dipolar noise from dilute electron-spin impurities.
 
-    concentration in 1/m^3; min_distance is the dipolar cutoff (per-site
-    distance); tau1_imp is the impurity electron flip time.  The variance
-    carries the impurity thermal polarization factor, so it freezes out
-    exponentially with field over temperature.
+    concentration in 1/m^3; tau1_imp is the impurity electron flip time.
+    The dipolar cutoff is SILICON.min_distance (per-site distance).  The
+    variance carries the impurity thermal polarization factor, so it freezes
+    out exponentially with field over temperature.
     """
 
     concentration: float = 0.7e26
     field: float = 2.0
     temperature: float = 0.1
     tau1_imp: float = 1e4
-    gamma_i: float = PHOSPHORUS_31.gamma
-    gamma_s: float = ELECTRON.gamma
-    min_distance: float = SILICON.min_distance
-    constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
         _require_finite(self)
         if self.concentration < 0.0:
             raise ValueError("concentration must be nonnegative")
-        if self.temperature <= 0.0 or self.tau1_imp <= 0.0 or self.min_distance <= 0.0:
-            raise ValueError("temperature, tau1_imp, min_distance must be positive")
+        if self.temperature <= 0.0 or self.tau1_imp <= 0.0:
+            raise ValueError("temperature, tau1_imp must be positive")
         if self.field < 0.0:
             raise ValueError("field must be nonnegative")
-        if self.concentration * self.min_distance ** 3 >= 1.0:
+        if self.concentration * SILICON.min_distance ** 3 >= 1.0:
             warnings.warn(
                 "concentration times cutoff volume >= 1; the dilute "
                 "expansion is unreliable",
@@ -242,20 +235,18 @@ class ParamagneticImpurityChannel:
 
     @property
     def x(self) -> float:
-        return boltzmann_ratio(self.gamma_s, self.field, self.temperature, self.constants)
+        return boltzmann_ratio(ELECTRON.gamma, self.field, self.temperature)
 
 
-def _dipolar_prefactor(
-    gamma_a: float, gamma_b: float, constants: PhysicalConstants
-) -> float:
+def _dipolar_prefactor(gamma_a: float, gamma_b: float) -> float:
     """((mu0/4pi) gamma_a gamma_b hbar)^2, (rad/s)^2 m^6."""
-    return (constants.mu0_over_4pi * gamma_a * gamma_b * constants.hbar) ** 2
+    return (CONSTANTS.mu0_over_4pi * gamma_a * gamma_b * CONSTANTS.hbar) ** 2
 
 
 def paramagnetic_variance(channel: ParamagneticImpurityChannel) -> float:
     """C ((mu0/4pi) gamma_i gamma_s hbar)^2 (16 pi/(15 a^3)) shv(x)."""
-    coupling = _dipolar_prefactor(channel.gamma_i, channel.gamma_s, channel.constants)
-    geometry = 16.0 * math.pi / (15.0 * channel.min_distance ** 3)
+    coupling = _dipolar_prefactor(PHOSPHORUS_31.gamma, ELECTRON.gamma)
+    geometry = 16.0 * math.pi / (15.0 * SILICON.min_distance ** 3)
     return channel.concentration * coupling * geometry * spin_half_variance(channel.x)
 
 
@@ -273,31 +264,19 @@ class NuclearImpurityChannel:
     field: float = 2.0
     spin_temperature: float = 0.8e-3
     t_parallel_imp: float = 1e4
-    gamma_i: float = PHOSPHORUS_31.gamma
-    gamma_imp: float = SILICON_29.gamma
-    min_distance: float = SILICON.min_distance
-    constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
         _require_finite(self)
         if self.concentration < 0.0:
             raise ValueError("concentration must be nonnegative")
-        if (
-            self.spin_temperature <= 0.0
-            or self.t_parallel_imp <= 0.0
-            or self.min_distance <= 0.0
-        ):
-            raise ValueError(
-                "spin_temperature, t_parallel_imp, min_distance must be positive"
-            )
+        if self.spin_temperature <= 0.0 or self.t_parallel_imp <= 0.0:
+            raise ValueError("spin_temperature, t_parallel_imp must be positive")
         if self.field < 0.0:
             raise ValueError("field must be nonnegative")
 
     @property
     def polarization_x(self) -> float:
-        return boltzmann_ratio(
-            self.gamma_imp, self.field, self.spin_temperature, self.constants
-        )
+        return boltzmann_ratio(SILICON_29.gamma, self.field, self.spin_temperature)
 
     @property
     def polarized(self) -> bool:
@@ -307,18 +286,13 @@ class NuclearImpurityChannel:
 
 def nuclear_impurity_variance(channel: NuclearImpurityChannel) -> float:
     """C ((mu0/4pi) gamma_i gamma_imp hbar)^2 (4 pi/(15 a^3)) (1-tanh^2 x)."""
-    coupling = _dipolar_prefactor(channel.gamma_i, channel.gamma_imp, channel.constants)
-    geometry = 4.0 * math.pi / (15.0 * channel.min_distance ** 3)
+    coupling = _dipolar_prefactor(PHOSPHORUS_31.gamma, SILICON_29.gamma)
+    geometry = 4.0 * math.pi / (15.0 * SILICON.min_distance ** 3)
     thermal = 1.0 - math.tanh(channel.polarization_x) ** 2
     return channel.concentration * coupling * geometry * thermal
 
 
-def required_field_temperature_ratio(
-    a0: float,
-    target_dephasing_time: float,
-    gamma_s: float = ELECTRON.gamma,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def required_field_temperature_ratio(a0: float, target_dephasing_time: float) -> float:
     """B/T (in T/K) making the static hyperfine time reach the target.
 
     Solves a0^2 spin_half_variance(x) = target^-2 for x by bisection to
@@ -340,36 +314,24 @@ def required_field_temperature_ratio(
     while excess(hi) < 0.0:
         hi *= 2.0
     x_star = bisect_increasing(excess, 0.0, hi, rtol=1e-6)
-    per_ratio = abs(gamma_s) * constants.hbar / constants.k_boltzmann
-    return x_star / per_ratio
+    return x_star / boltzmann_ratio(ELECTRON.gamma, 1.0, 1.0)
 
 
 def max_paramagnetic_concentration(
-    target_dephasing_time: float,
-    field_temperature_ratio: float,
-    gamma_i: float = PHOSPHORUS_31.gamma,
-    gamma_s: float = ELECTRON.gamma,
-    min_distance: float = SILICON.min_distance,
-    constants: PhysicalConstants = CONSTANTS,
+    target_dephasing_time: float, field_temperature_ratio: float
 ) -> float:
     """Largest impurity concentration (1/m^3) keeping the static time.
 
     Inverts paramagnetic_variance, which is linear in concentration:
     target^-2 over the variance at unit concentration.  At 1 K the field
-    equals the B/T ratio.
+    equals the B/T ratio.  A thermal factor that underflows to 0 leaves no
+    variance, and the bound is math.inf.
     """
     if target_dephasing_time <= 0.0 or field_temperature_ratio < 0.0:
         raise ValueError("target must be positive and ratio nonnegative")
-    unit = ParamagneticImpurityChannel(
-        1.0,
-        field_temperature_ratio,
-        1.0,
-        gamma_i=gamma_i,
-        gamma_s=gamma_s,
-        min_distance=min_distance,
-        constants=constants,
-    )
-    return target_dephasing_time ** -2 / paramagnetic_variance(unit)
+    unit = ParamagneticImpurityChannel(1.0, field_temperature_ratio, 1.0)
+    variance = paramagnetic_variance(unit)
+    return math.inf if variance == 0.0 else target_dephasing_time ** -2 / variance
 
 
 @dataclass(frozen=True)
@@ -381,32 +343,20 @@ class ConcentrationBound:
 
 
 def max_nuclear_impurity_concentration(
-    target_dephasing_time: float,
-    field: float,
-    spin_temperature: float,
-    gamma_i: float = PHOSPHORUS_31.gamma,
-    gamma_imp: float = SILICON_29.gamma,
-    min_distance: float = SILICON.min_distance,
-    constants: PhysicalConstants = CONSTANTS,
+    target_dephasing_time: float, field: float, spin_temperature: float
 ) -> ConcentrationBound:
     """Largest nuclear-impurity concentration keeping the static time.
 
     Inverts nuclear_impurity_variance, which is linear in concentration:
-    target^-2 over the variance at unit concentration.
+    target^-2 over the variance at unit concentration.  A thermal factor
+    that underflows to 0 gives ConcentrationBound(inf, inf).
     """
     if target_dephasing_time <= 0.0:
         raise ValueError("target_dephasing_time must be positive")
-    unit = NuclearImpurityChannel(
-        1.0,
-        field,
-        spin_temperature,
-        gamma_i=gamma_i,
-        gamma_imp=gamma_imp,
-        min_distance=min_distance,
-        constants=constants,
-    )
-    per_m3 = target_dephasing_time ** -2 / nuclear_impurity_variance(unit)
-    site_density = min_distance ** -3
+    unit = NuclearImpurityChannel(1.0, field, spin_temperature)
+    variance = nuclear_impurity_variance(unit)
+    per_m3 = math.inf if variance == 0.0 else target_dephasing_time ** -2 / variance
+    site_density = SILICON.min_distance ** -3
     return ConcentrationBound(
         per_m3=per_m3, percent_of_sites=100.0 * per_m3 / site_density
     )

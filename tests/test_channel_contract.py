@@ -5,6 +5,7 @@ literally here so that a change in how the code derives them cannot add,
 drop or rename a parameter unnoticed.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from sidephase.cli import main
 from sidephase.config import (
     CHANNEL_KINDS,
+    CHANNELS,
     SWEEPABLE,
     UsageError,
     read_channel_config,
@@ -48,6 +50,11 @@ def test_sweepable_sets():
         "paramagnetic": {"concentration", "field", "temperature", "tau1_imp", "ratio"},
         "nuclear": {"concentration", "field", "spin_temperature", "t_parallel_imp"},
     }
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETERS))
+def test_channel_fields_are_the_config_keys(kind):
+    assert {f.name for f in dataclasses.fields(CHANNELS[kind])} == PARAMETERS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(PARAMETERS))

@@ -124,6 +124,14 @@ class TestCliExitsTwo:
         _assert_usage_error(main(argv), capsys)
         assert not profile.exists()
 
+    @pytest.mark.parametrize("t_points", ["-5", "0", "1"])
+    def test_channel_profile_t_points(self, tmp_path, capsys, t_points):
+        profile = tmp_path / "p.csv"
+        argv = ["channel", "hyperfine", "--profile-out", str(profile)]
+        argv += ["--t-max", "1", "--t-points", t_points]
+        _assert_usage_error(main(argv), capsys)
+        assert not profile.exists()
+
     @pytest.mark.parametrize(
         "body", ["[hyperfine]\nfield = nan\n", "[hyperfine]\ntau1 = inf\n"]
     )
@@ -162,6 +170,18 @@ class TestOverflowExitsTwo:
         argv += ["--grid", "1e100:1e200:3:log", "--out", str(out)]
         _assert_usage_error(main(argv), capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind,body",
+        [("hyperfine", "a0 = 1e200"), ("phonon", "temperature = 1e300")],
+    )
+    def test_message_names_the_channel(self, tmp_path, capsys, kind, body):
+        cfg = tmp_path / "ch.ini"
+        cfg.write_text(f"[{kind}]\n{body}\n")
+        assert main(["channel", kind, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {kind} channel: an input is too large for float arithmetic\n"
+        )
 
 
 def test_dilute_warning_names_the_caller():

@@ -251,6 +251,12 @@ class TestParamagneticChannel:
         with pytest.raises(ValueError):
             max_paramagnetic_concentration(0.0, 20.0)
 
+    def test_zero_variance_bound_is_unbounded(self):
+        # The thermal factor underflows to 0: no concentration adds variance.
+        unit = ParamagneticImpurityChannel(1.0, 1e4, 1.0)
+        assert paramagnetic_variance(unit) == 0.0
+        assert max_paramagnetic_concentration(1.0, 1e4) == math.inf
+
 
 class TestNuclearImpurityChannel:
     def test_polarization_threshold_temperature(self):
@@ -301,6 +307,12 @@ class TestNuclearImpurityChannel:
             NuclearImpurityChannel(spin_temperature=0.0)
         with pytest.raises(ValueError):
             NuclearImpurityChannel(concentration=-1e20)
+
+    def test_zero_variance_bound_is_unbounded(self):
+        unit = NuclearImpurityChannel(1.0, 3.0, 1e-6)
+        assert nuclear_impurity_variance(unit) == 0.0
+        bound = max_nuclear_impurity_concentration(1.0, 3.0, 1e-6)
+        assert bound == ConcentrationBound(math.inf, math.inf)
 
 
 class TestChannelToCorrelation:
