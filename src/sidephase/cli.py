@@ -204,9 +204,16 @@ def cmd_channel(args: argparse.Namespace) -> int:
     if args.config:
         params = read_channel_config(args.config).get(args.kind, {})
     channel = build_channel(args.kind, params)
-    _write_json(args.out, _channel_report(args.kind, channel, args.convention))
+    report = _channel_report(args.kind, channel, args.convention)
     if args.profile_out:
         profile = _profile_for(channel, args.kind, args.t_max, args.t_points)
+        if not all(math.isfinite(g) for g in profile.gamma_values):
+            raise UsageError(
+                f"{args.kind} channel: Gamma(t) is not finite up to "
+                f"--t-max {args.t_max:.6g} s; shorten --t-max"
+            )
+    _write_json(args.out, report)
+    if args.profile_out:
         with open(args.profile_out, "w", newline="") as fh:
             profile.write_csv(fh)
     return 0

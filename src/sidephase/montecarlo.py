@@ -1,16 +1,36 @@
 """Monte Carlo oracle: Ornstein-Uhlenbeck frequency noise, sampled exactly.
 
-Each trajectory draws a stationary Gaussian start and then applies the
-exact AR(1) update dw[k+1] = rho dw[k] + sqrt(variance (1 - rho^2)) xi[k]
-with rho = exp(-dt/tau_c), so the discretization of the process itself is
-bias-free at any step size.  The accumulated phase uses the trapezoid
-rule, whose O((dt/tau_c)^2) bias is held far below statistical error by
-the plan constraints.
+The frequency offset dw is an Ornstein-Uhlenbeck process of variance
+sigma^2 and correlation time tau_c, and the phase is its time integral.
+Over an interval h the pair (dw, phase) has exact Gaussian transitions
+(D. T. Gillespie, Phys. Rev. E 54, 2084 (1996)).  With x = h/tau_c,
+rho = exp(-x) and independent standard normals xi1, xi2:
+
+    dw'    = rho dw + sigma sqrt(1 - rho^2) xi1
+    phase' = phase + tau_c (1 - rho) dw + c xi1 + d xi2
+    c      = sigma tau_c (1 - rho) sqrt(tanh(x/2))
+    d^2    = sigma^2 tau_c^2 q(x),  q(x) = 2 (x - 2 tanh(x/2))
+
+These follow from the SDE alone, never from the closed-form Gamma that
+compare_to_analytic scores the ensemble against.  ensemble_coherence
+applies them once per output interval, so a trajectory costs one
+stationary draw plus two per output time, 2 n_grid + 1 in all, whatever
+n_steps is, with neither discretization nor quadrature bias.  Static
+noise (tau_c = inf) is rho = 1 with phase' = phase + h dw.
+
+generate_trajectory and accumulate_phase are the stepwise reference: the
+exact AR(1) update on the n_steps grid and the trapezoid phase, whose
+O((dt/tau_c)^2) bias the plan constraints hold far below statistical
+error.  They sample the same process independently of the exact update.
 
 Determinism: trajectory i draws from a dedicated stream spawned from
-(master_seed, i), results land in slot i of preallocated arrays, and the
-reduction runs over those arrays in fixed index order.  The outcome is
-therefore byte-stable under any worker count or scheduling.
+(master_seed, i).  Trajectories are sampled in fixed blocks of _BLOCK
+indices, which also bounds the draw buffer; each worker takes one
+contiguous run of blocks and writes its rows of preallocated arrays, and
+the reduction runs over those arrays in fixed index order.  The outcome is
+therefore byte-stable under any worker count.  Seeding a stream per
+trajectory holds the GIL and dominates a run, so extra workers do not
+make it faster.
 """
 
 from __future__ import annotations
@@ -19,6 +39,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -38,12 +60,25 @@ __all__ = [
 ]
 
 _MAX_SEED = 2 ** 64
+# Above 2**53 steps, grid indices are no longer exact in float arithmetic.
+_MAX_STEPS = 2 ** 53
+# Trajectories per draw buffer; a worker takes a contiguous run of blocks.
+_BLOCK = 256
+# Below this x = h/tau_c, q(x) = 2 (x - 2 tanh(x/2)) loses digits to
+# cancellation (3e-12 relative at x = 0.03) and its Taylor series in
+# x^3, x^5, ..., x^11 is summed instead; at the switch each branch is
+# within 3e-13 of the exact value.
+_Q_SERIES_SWITCH = 0.1
+_Q_SERIES = (1 / 6, -1 / 60, 17 / 10080, -31 / 181440, 691 / 39916800)
 
 
 class PlanRejectedError(ValueError):
-    """Plan resolution is too coarse; carries the minimal adequate n_steps."""
+    """Plan resolution is too coarse; carries the minimal adequate n_steps.
 
-    def __init__(self, message: str, required_n_steps: int) -> None:
+    required_n_steps is an int, or math.inf when the count overflows a float.
+    """
+
+    def __init__(self, message: str, required_n_steps: int | float) -> None:
         super().__init__(message)
         self.required_n_steps = required_n_steps
 
@@ -58,7 +93,9 @@ class SimulationPlan:
 
     Rejected at construction unless dt = t_max/n_steps resolves both the
     correlation time (dt <= tau_c/20) and the per-step phase increment
-    (dt <= 0.05/sqrt(variance)).
+    (dt <= 0.05/sqrt(variance)).  Only the stepwise reference needs that
+    resolution; the exact sampler keeps it as the plan contract.  When no
+    n_steps up to 2**53 would do, the message asks for a shorter t_max.
     """
 
     correlation: ExponentialCorrelation
@@ -72,6 +109,8 @@ class SimulationPlan:
             raise ValueError("t_max must be positive and finite")
         if self.n_steps < 1 or self.n_trajectories < 1:
             raise ValueError("n_steps and n_trajectories must be at least 1")
+        if self.n_steps > _MAX_STEPS:
+            raise ValueError("n_steps must be at most 2**53")
         if not 0 <= self.master_seed < _MAX_SEED:
             raise ValueError("master_seed must fit in 64 bits")
         dt_max = math.inf
@@ -80,9 +119,14 @@ class SimulationPlan:
         if self.correlation.variance > 0.0:
             dt_max = min(dt_max, 0.05 / math.sqrt(self.correlation.variance))
         if self.dt > dt_max:
-            required = math.ceil(self.t_max / dt_max)
+            steps = self.t_max / dt_max
+            required = math.ceil(steps) if math.isfinite(steps) else math.inf
+            advice = f"use n_steps >= {required}"
+            if steps > _MAX_STEPS:
+                count = Decimal(self.t_max) / Decimal(dt_max)
+                advice = f"needs ~{count:.3g} steps; shorten t_max"
             raise PlanRejectedError(
-                f"dt = {self.dt:.6g} s is too coarse; use n_steps >= {required}",
+                f"dt = {self.dt:.6g} s is too coarse; {advice}",
                 required_n_steps=required,
             )
 
@@ -131,6 +175,66 @@ def accumulate_phase(delta_omega: np.ndarray, dt: float) -> np.ndarray:
     return phase
 
 
+def _q(x: float) -> float:
+    """q(x) = 2 (x - 2 tanh(x/2)): phase-noise variance over (sigma tau_c)^2."""
+    if x < _Q_SERIES_SWITCH:
+        x2 = x * x
+        total = 0.0
+        for coefficient in reversed(_Q_SERIES):
+            total = total * x2 + coefficient
+        return total * x * x2
+    return 2.0 * (x - 2.0 * math.tanh(0.5 * x))
+
+
+class _Transition(NamedTuple):
+    """Exact update of (dw, phase) over one interval; see the module doc."""
+
+    rho: float
+    omega_noise: float
+    drift: float
+    cross: float
+    phase_noise: float
+
+
+def _transition(correlation: ExponentialCorrelation, h: float) -> _Transition:
+    """The update's coefficients for an interval of length h."""
+    if correlation.is_static:
+        return _Transition(1.0, 0.0, h, 0.0, 0.0)
+    sigma = math.sqrt(correlation.variance)
+    tau_c = correlation.tau_c
+    x = h / tau_c
+    drift = -tau_c * math.expm1(-x)  # tau_c (1 - rho)
+    return _Transition(
+        rho=math.exp(-x),
+        omega_noise=sigma * math.sqrt(-math.expm1(-2.0 * x)),
+        drift=drift,
+        cross=sigma * drift * math.sqrt(math.tanh(0.5 * x)),
+        phase_noise=sigma * tau_c * math.sqrt(_q(x)),
+    )
+
+
+def _sample_phases(
+    plan: SimulationPlan, transitions: list[_Transition], lo: int, hi: int
+) -> np.ndarray:
+    """Phases of trajectories lo..hi-1 at the output times, one row each.
+
+    Row i of the draws is trajectory i's stream: the stationary dw, then
+    (xi1, xi2) per interval.  The update runs across the rows at once.
+    """
+    draws = np.empty((hi - lo, 2 * len(transitions) + 1))
+    for row, index in enumerate(range(lo, hi)):
+        _trajectory_rng(plan, index).standard_normal(out=draws[row])
+    omega = math.sqrt(plan.correlation.variance) * draws[:, 0]
+    phase = np.zeros(hi - lo)
+    phases = np.empty((hi - lo, len(transitions)))
+    for k, step in enumerate(transitions):
+        xi1, xi2 = draws[:, 2 * k + 1], draws[:, 2 * k + 2]
+        phase = phase + step.drift * omega + step.cross * xi1 + step.phase_noise * xi2
+        omega = step.rho * omega + step.omega_noise * xi1
+        phases[:, k] = phase
+    return phases
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleCoherence:
     """Ensemble averages of exp(i phase) on the output grid.
@@ -177,31 +281,39 @@ def ensemble_coherence(
     n_grid: int = 50,
     n_workers: int = 1,
 ) -> EnsembleCoherence:
-    """Run the full ensemble and reduce it on n_grid output times.
+    """Sample the ensemble exactly on n_grid output times and reduce it.
 
-    Workers only fill disjoint, index-addressed rows; the reduction is a
-    single fixed-order pass over the completed arrays, so results do not
-    depend on n_workers, which is capped at the CPU count.
+    Each worker fills the rows of one contiguous run of fixed blocks; the
+    reduction is a single fixed-order pass over the completed arrays, so
+    results do not depend on n_workers, which is capped at the CPU count.
     """
     grid_idx = _output_indices(plan.n_steps, n_grid)
     dt = plan.dt
-    phasors = np.empty((plan.n_trajectories, n_grid), dtype=complex)
-    phase_sq = np.empty((plan.n_trajectories, n_grid))
+    steps = np.diff(grid_idx, prepend=0).tolist()
+    by_steps = {s: _transition(plan.correlation, s * dt) for s in set(steps)}
+    transitions = [by_steps[s] for s in steps]
+    n = plan.n_trajectories
+    phasors = np.empty((n, n_grid), dtype=complex)
+    phase_sq = np.empty((n, n_grid))
+    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
 
-    def fill(index: int) -> None:
-        trajectory = generate_trajectory(plan, index)
-        phase = accumulate_phase(trajectory, dt)[grid_idx]
-        phasors[index] = np.exp(1j * phase)
-        phase_sq[index] = phase * phase
+    def fill(run: list[tuple[int, int]]) -> None:
+        for lo, hi in run:
+            phase = _sample_phases(plan, transitions, lo, hi)
+            phasors[lo:hi] = np.exp(1j * phase)
+            phase_sq[lo:hi] = phase * phase
 
     n_workers = min(n_workers, os.cpu_count() or 1)
     if n_workers <= 1:
-        for i in range(plan.n_trajectories):
-            fill(i)
+        fill(blocks)
     else:
+        runs = [
+            blocks[w * len(blocks) // n_workers : (w + 1) * len(blocks) // n_workers]
+            for w in range(n_workers)
+        ]
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             # consume the iterator to surface worker exceptions
-            list(pool.map(fill, range(plan.n_trajectories)))
+            list(pool.map(fill, runs))
 
     root_n = math.sqrt(plan.n_trajectories)
     ddof = 1 if plan.n_trajectories > 1 else 0

@@ -225,3 +225,58 @@ class TestWorkersCap:
         assert _SerialPool.seen == resolved
         serial = ensemble_coherence(self.PLAN, n_grid=4, n_workers=1)
         assert result.mean_coherence.tobytes() == serial.mean_coherence.tobytes()
+
+
+class TestHugeHorizons:
+    """Horizons no run can resolve: a clean exit, never inf cells or advice
+    that no n_steps could follow."""
+
+    @pytest.mark.parametrize("out", [None, "report.json"])
+    def test_non_finite_profile_exits_2_before_writing(self, tmp_path, capsys, out):
+        profile = tmp_path / "p.csv"
+        argv = ["channel", "hyperfine", "--profile-out", str(profile)]
+        argv += ["--t-max", "1e300", "--t-points", "3"]
+        if out:
+            argv += ["--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: hyperfine channel: Gamma(t) is not finite")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not profile.exists()
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "tau_c,t_max,count",
+        [("inf", "1e200", "2.00e+201"), ("1e-300", "1e300", "2.00e+601")],
+    )
+    def test_unreachable_plan_exits_3(self, tmp_path, capsys, tau_c, t_max, count):
+        code = main(_montecarlo_argv(tmp_path, tau_c=tau_c, t_max=t_max, n_steps="10"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("plan rejected: ")
+        assert err.endswith(f"; needs ~{count} steps; shorten t_max\n")
+        assert not (tmp_path / "mc.csv").exists()
+
+    def test_required_n_steps_is_an_int_while_finite(self):
+        with pytest.raises(montecarlo.PlanRejectedError) as err:
+            SimulationPlan(ExponentialCorrelation(1.0, math.inf), 1e200, 10, 1, 0)
+        assert type(err.value.required_n_steps) is int
+        assert err.value.required_n_steps == math.ceil(1e200 / 0.05)
+        with pytest.raises(montecarlo.PlanRejectedError) as err:
+            SimulationPlan(ExponentialCorrelation(1.0, 1e-300), 1e300, 10, 1, 0)
+        assert err.value.required_n_steps == math.inf
+
+    def test_advice_switches_above_2_to_the_53(self):
+        corr = ExponentialCorrelation(0.0, 20.0)  # dt must not exceed 1 s
+        with pytest.raises(montecarlo.PlanRejectedError) as err:
+            SimulationPlan(corr, 2.0 ** 53, 1, 1, 0)
+        assert str(err.value).endswith(f"use n_steps >= {2 ** 53}")
+        with pytest.raises(montecarlo.PlanRejectedError) as err:
+            SimulationPlan(corr, 2.0 ** 54, 1, 1, 0)
+        assert str(err.value).endswith("needs ~1.80e+16 steps; shorten t_max")
+
+    def test_n_steps_above_2_to_the_53_exits_2(self, tmp_path, capsys):
+        code = main(_montecarlo_argv(tmp_path, n_steps=str(2 ** 53 + 1)))
+        _assert_usage_error(code, capsys)
