@@ -410,9 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     except PlanRejectedError as exc:
         print(f"plan rejected: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError, DegenerateStatisticsError) as exc:
-        # UsageError, the library's argument checks, and finite inputs too
-        # large for float arithmetic outside a channel report alike: exit 2.
+    except (ValueError, OverflowError, MemoryError, DegenerateStatisticsError) as exc:
+        # UsageError, the library's argument checks, finite inputs too large
+        # for float arithmetic and arrays too large to allocate alike: exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -203,6 +203,20 @@ def phonon_rate(channel: PhononRamanChannel, mode: str = "exact-integral") -> fl
     )
 
 
+def _check_impurity(channel) -> None:
+    """The checks both impurity channels end their __post_init__ with."""
+    if channel.concentration < 0.0:
+        raise ValueError("concentration must be nonnegative")
+    if channel.field < 0.0:
+        raise ValueError("field must be nonnegative")
+    if channel.concentration * SILICON.min_distance ** 3 >= 1.0:
+        warnings.warn(
+            "concentration times cutoff volume >= 1; the dilute "
+            "expansion is unreliable",
+            stacklevel=4,  # past __post_init__ and __init__, to the caller
+        )
+
+
 @dataclass(frozen=True)
 class ParamagneticImpurityChannel:
     """Dipolar noise from dilute electron-spin impurities.
@@ -220,18 +234,9 @@ class ParamagneticImpurityChannel:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if self.concentration < 0.0:
-            raise ValueError("concentration must be nonnegative")
         if self.temperature <= 0.0 or self.tau1_imp <= 0.0:
             raise ValueError("temperature, tau1_imp must be positive")
-        if self.field < 0.0:
-            raise ValueError("field must be nonnegative")
-        if self.concentration * SILICON.min_distance ** 3 >= 1.0:
-            warnings.warn(
-                "concentration times cutoff volume >= 1; the dilute "
-                "expansion is unreliable",
-                stacklevel=3,  # past the dataclass __init__, to the caller
-            )
+        _check_impurity(self)
 
     @property
     def x(self) -> float:
@@ -267,12 +272,9 @@ class NuclearImpurityChannel:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if self.concentration < 0.0:
-            raise ValueError("concentration must be nonnegative")
         if self.spin_temperature <= 0.0 or self.t_parallel_imp <= 0.0:
             raise ValueError("spin_temperature, t_parallel_imp must be positive")
-        if self.field < 0.0:
-            raise ValueError("field must be nonnegative")
+        _check_impurity(self)
 
     @property
     def polarization_x(self) -> float:

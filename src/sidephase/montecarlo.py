@@ -23,14 +23,14 @@ exact AR(1) update on the n_steps grid and the trapezoid phase, whose
 O((dt/tau_c)^2) bias the plan constraints hold far below statistical
 error.  They sample the same process independently of the exact update.
 
-Determinism: trajectory i draws from a dedicated stream spawned from
-(master_seed, i).  Trajectories are sampled in fixed blocks of _BLOCK
-indices, which also bounds the draw buffer; each worker takes one
-contiguous run of blocks and writes its rows of preallocated arrays, and
-the reduction runs over those arrays in fixed index order.  The outcome is
-therefore byte-stable under any worker count.  Seeding a stream per
-trajectory holds the GIL and dominates a run, so extra workers do not
-make it faster.
+Determinism: trajectory i draws from its own stream, row i of
+index_normals(master_seed, ...), which defines the register's stream too.
+Trajectories are sampled in fixed blocks of _BLOCK indices, which also
+bounds the draw buffer; each worker takes one contiguous run of blocks and
+writes its rows of preallocated arrays, and the reduction runs over those
+arrays in fixed index order.  The outcome is therefore byte-stable under
+any worker count.  Seeding a stream per trajectory holds the GIL and
+dominates a run, so extra workers do not make it faster.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.signal import lfilter
 
-from .dephasing import ExponentialCorrelation, gamma_exact
+from .dephasing import ExponentialCorrelation, coherence_envelope
 
 __all__ = [
     "SimulationPlan",
@@ -57,6 +57,8 @@ __all__ = [
     "accumulate_phase",
     "ensemble_coherence",
     "compare_to_analytic",
+    "index_normals",
+    "standard_error",
 ]
 
 _MAX_SEED = 2 ** 64
@@ -135,11 +137,24 @@ class SimulationPlan:
         return self.t_max / self.n_steps
 
 
-def _trajectory_rng(plan: SimulationPlan, index: int) -> np.random.Generator:
-    # Counter-based stream splitting: (seed, index) -> independent stream,
-    # insensitive to the order trajectories are generated in.
-    seq = np.random.SeedSequence(entropy=plan.master_seed, spawn_key=(index,))
-    return np.random.default_rng(seq)
+def index_normals(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
+    """Standard normals of indices lo..hi-1, one row of width draws each.
+
+    Row i - lo is the start of index i's own stream, the default_rng of
+    SeedSequence(entropy=seed, spawn_key=(i,)), so a draw depends only on
+    (seed, i): never on the block, the worker or the sampling order.
+    """
+    draws = np.empty((hi - lo, width))
+    for row, index in enumerate(range(lo, hi)):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        np.random.default_rng(seq).standard_normal(out=draws[row])
+    return draws
+
+
+def standard_error(samples: np.ndarray) -> np.ndarray:
+    """Standard error of the mean over axis 0, the ensemble axis."""
+    n = len(samples)
+    return samples.std(axis=0, ddof=1 if n > 1 else 0) / math.sqrt(n)
 
 
 def generate_trajectory(plan: SimulationPlan, index: int) -> np.ndarray:
@@ -151,8 +166,7 @@ def generate_trajectory(plan: SimulationPlan, index: int) -> np.ndarray:
     """
     if not 0 <= index < plan.n_trajectories:
         raise ValueError("trajectory index out of range")
-    rng = _trajectory_rng(plan, index)
-    draws = rng.standard_normal(plan.n_steps + 1)
+    draws = index_normals(plan.master_seed, index, index + 1, plan.n_steps + 1)[0]
     variance = plan.correlation.variance
     if variance == 0.0:
         return np.zeros(plan.n_steps + 1)
@@ -221,9 +235,7 @@ def _sample_phases(
     Row i of the draws is trajectory i's stream: the stationary dw, then
     (xi1, xi2) per interval.  The update runs across the rows at once.
     """
-    draws = np.empty((hi - lo, 2 * len(transitions) + 1))
-    for row, index in enumerate(range(lo, hi)):
-        _trajectory_rng(plan, index).standard_normal(out=draws[row])
+    draws = index_normals(plan.master_seed, lo, hi, 2 * len(transitions) + 1)
     omega = math.sqrt(plan.correlation.variance) * draws[:, 0]
     phase = np.zeros(hi - lo)
     phases = np.empty((hi - lo, len(transitions)))
@@ -315,15 +327,13 @@ def ensemble_coherence(
             # consume the iterator to surface worker exceptions
             list(pool.map(fill, runs))
 
-    root_n = math.sqrt(plan.n_trajectories)
-    ddof = 1 if plan.n_trajectories > 1 else 0
     return EnsembleCoherence(
         times=grid_idx * dt,
         mean_coherence=phasors.mean(axis=0),
-        std_error=phasors.real.std(axis=0, ddof=ddof) / root_n,
-        im_std_error=phasors.imag.std(axis=0, ddof=ddof) / root_n,
+        std_error=standard_error(phasors.real),
+        im_std_error=standard_error(phasors.imag),
         mean_phase_sq=phase_sq.mean(axis=0),
-        std_error_phase_sq=phase_sq.std(axis=0, ddof=ddof) / root_n,
+        std_error_phase_sq=standard_error(phase_sq),
         n_trajectories=plan.n_trajectories,
     )
 
@@ -352,20 +362,17 @@ def compare_to_analytic(
     Zero standard error is tolerated only where the deviation also
     vanishes (exact replay); otherwise statistics are degenerate.
     """
-    envelope = np.array(
-        [math.exp(-gamma_exact(correlation, t)) for t in result.times]
-    )
+    envelope = np.array([coherence_envelope(correlation, t) for t in result.times])
     abs_mean = np.abs(result.mean_coherence)
     deviation = np.abs(abs_mean - envelope)
-    z = np.empty_like(deviation)
     zero_spread = result.std_error == 0.0
-    bad = zero_spread & (deviation > 1e-12)
-    if np.any(bad):
+    if np.any(zero_spread & (deviation > 1e-12)):
         raise DegenerateStatisticsError(
             "zero standard error with nonzero deviation from the envelope"
         )
-    z[zero_spread] = 0.0
-    z[~zero_spread] = deviation[~zero_spread] / result.std_error[~zero_spread]
+    z = np.divide(
+        deviation, result.std_error, out=np.zeros_like(deviation), where=~zero_spread
+    )
     return CoherenceComparison(
         times=result.times.copy(),
         abs_mean=abs_mean,

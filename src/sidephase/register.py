@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .montecarlo import index_normals, standard_error
 from .qubit import DensityMatrix, fidelity
 
 __all__ = [
@@ -36,9 +37,9 @@ def _norm_factor(e: tuple[float, float, float]) -> float:
 
 
 def error_unitary(e: tuple[float, float, float]) -> np.ndarray:
-    """(I + i (ex sx + ey sy + ez sz)) / sqrt(1 + |e|^2), exactly unitary."""
+    """(I + i e.sigma) / sqrt(1 + |e|^2), exactly unitary; (2, 2, n) for n copies."""
     ex, ey, ez = e
-    scale = 1.0 / math.sqrt(_norm_factor(e))
+    scale = 1.0 / np.sqrt(_norm_factor(e))
     return scale * np.array(
         [
             [1.0 + 1j * ez, 1j * ex + ey],
@@ -82,9 +83,9 @@ def ground_fidelity(e: tuple[float, float, float]) -> float:
 class ErrorSampler:
     """Zero-mean Gaussian error vectors with per-axis widths sigma.
 
-    Register copy i draws from its own stream spawned from (seed, i), the
-    same splitting scheme the trajectory simulator uses, so sampling can
-    be partitioned arbitrarily without changing any draw.
+    Copy i is sigma times row i of montecarlo.index_normals(seed, ...), the
+    stream definition the trajectory ensemble uses too, so sampling can be
+    partitioned arbitrarily without changing any draw.
     """
 
     sigma: tuple[float, float, float]
@@ -97,13 +98,8 @@ class ErrorSampler:
             raise ValueError("seed must fit in 64 bits")
 
     def sample(self, index: int) -> tuple[float, float, float]:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
-        draws = np.random.default_rng(seq).standard_normal(3)
-        return (
-            self.sigma[0] * draws[0],
-            self.sigma[1] * draws[1],
-            self.sigma[2] * draws[2],
-        )
+        draws = index_normals(self.seed, index, index + 1, 3)[0]
+        return tuple(np.asarray(self.sigma) * draws)
 
 
 @dataclass(frozen=True)
@@ -127,33 +123,27 @@ class EnsembleErrorReport:
 
 
 def ensemble_average_state(sampler: ErrorSampler, n: int) -> EnsembleErrorReport:
-    """Average n perturbed ground states drawn through the sampler.
+    """Average the perturbed ground states of copies 0..n-1 of the sampler.
 
-    Slots are index-addressed and the reduction is a fixed-order pass,
-    mirroring the trajectory ensemble.
+    The copies are drawn as one block and averaged as arrays in index
+    order: the mean of perturbed_ground_state(sampler.sample(i)) over i.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    entries = np.empty((n, 2, 2), dtype=complex)
-    probabilities = np.empty(n)
-    for i in range(n):
-        e = sampler.sample(i)
-        state = perturbed_ground_state(e)
-        entries[i] = state.as_rows()
-        probabilities[i] = error_probability(e)
-    mean_state = entries.mean(axis=0)
+    e = tuple((np.asarray(sampler.sigma) * index_normals(sampler.seed, 0, n, 3)).T)
+    # (n, 2), copy-major: the mean then adds the copies in index order
+    column = error_unitary(e)[:, 0].T.copy()
+    mean_state = (column[:, :, None] * column[:, None, :].conj()).mean(axis=0)
+    probabilities = error_probability(e)
     # enforce exact Hermiticity against rounding before validation
     rho01 = 0.5 * (mean_state[0, 1] + mean_state[1, 0].conjugate())
     averaged = DensityMatrix(
         mean_state[0, 0], rho01, rho01.conjugate(), mean_state[1, 1]
     )
-    ddof = 1 if n > 1 else 0
     return EnsembleErrorReport(
         state=averaged,
         n=n,
         mean_error_probability=float(probabilities.mean()),
-        stderr_error_probability=float(
-            probabilities.std(ddof=ddof) / math.sqrt(n)
-        ),
+        stderr_error_probability=float(standard_error(probabilities)),
         offdiag_magnitude=abs(rho01),
     )

@@ -15,7 +15,7 @@ from sidephase import montecarlo
 from sidephase.cli import _write_json, main
 from sidephase.config import CHANNELS, PARAMS
 from sidephase.dephasing import ExponentialCorrelation
-from sidephase.mechanisms import ParamagneticImpurityChannel
+from sidephase.mechanisms import NuclearImpurityChannel, ParamagneticImpurityChannel
 from sidephase.montecarlo import SimulationPlan, ensemble_coherence
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -280,3 +280,20 @@ class TestHugeHorizons:
     def test_n_steps_above_2_to_the_53_exits_2(self, tmp_path, capsys):
         code = main(_montecarlo_argv(tmp_path, n_steps=str(2 ** 53 + 1)))
         _assert_usage_error(code, capsys)
+
+
+def test_nuclear_dilute_warning_names_the_caller():
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        NuclearImpurityChannel(concentration=1e300)
+    assert len(record) == 1
+    assert "dilute expansion" in str(record[0].message)
+    assert record[0].filename == __file__
+
+
+def test_unallocatable_ensemble_exits_2_without_csv(tmp_path, capsys):
+    # 1e15 x 10 complex cells: numpy refuses the allocation at once
+    code = main(_montecarlo_argv(tmp_path, n_trajectories=str(10 ** 15)))
+    _assert_usage_error(code, capsys)
+    assert not (tmp_path / "mc.csv").exists()
+    assert not (tmp_path / "mc.json").exists()
