@@ -410,9 +410,12 @@ def main(argv: list[str] | None = None) -> int:
     except PlanRejectedError as exc:
         print(f"plan rejected: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError, MemoryError, DegenerateStatisticsError) as exc:
+    except (
+        ValueError, OverflowError, MemoryError, OSError, DegenerateStatisticsError
+    ) as exc:
         # UsageError, the library's argument checks, finite inputs too large
-        # for float arithmetic and arrays too large to allocate alike: exit 2.
+        # for float arithmetic, arrays too large to allocate and output paths
+        # that cannot be written alike: exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,7 +67,13 @@ SWEEPABLE: dict[str, frozenset[str]] = {
 def read_channel_config(path: str) -> dict[str, dict[str, float]]:
     """Parse and validate a config file into {section: {key: value}}."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # Missing section header, duplicate option or section, bad line;
+        # configparser's messages span lines, an error line must not.
+        detail = " ".join(str(exc).split())
+        raise UsageError(f"malformed config file {path}: {detail}") from None
     if not read:
         raise UsageError(f"config file not found: {path}")
     result: dict[str, dict[str, float]] = {}

@@ -30,8 +30,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .constants import (
     CONSTANTS,
     ELECTRON,
@@ -160,6 +158,10 @@ def debye_integral(u: float) -> float:
     for small u.  Piecewise adaptive quadrature; the integrand peaks near
     x ~ 6 and the segments keep that bump resolved for any u.
     """
+    # Imported here, not at module level: scipy.integrate takes about a
+    # second to import, and only the exact-integral phonon rate needs it.
+    from scipy.integrate import quad
+
     if u <= 0.0:
         raise ValueError("u must be positive")
     breaks = [0.0, 2.0, 8.0, 20.0, 60.0, 200.0]

@@ -43,7 +43,6 @@ from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dephasing import ExponentialCorrelation, coherence_envelope
 
@@ -164,6 +163,10 @@ def generate_trajectory(plan: SimulationPlan, index: int) -> np.ndarray:
     lag-k covariances match variance * rho^k at any dt.  A static
     correlation (rho = 1, zero innovation) yields one frozen value.
     """
+    # Imported here, not at module level: scipy.signal takes most of a
+    # second to import, and no CLI path calls this stepwise reference.
+    from scipy.signal import lfilter
+
     if not 0 <= index < plan.n_trajectories:
         raise ValueError("trajectory index out of range")
     draws = index_normals(plan.master_seed, index, index + 1, plan.n_steps + 1)[0]

@@ -51,6 +51,7 @@ def _assert_usage_error(code, capsys):
     assert len(lines) == 1, captured.err
     assert lines[0].startswith("error: ")
     assert captured.out == ""
+    return lines[0]
 
 
 class TestChannelsRejectNonFinite:
@@ -297,3 +298,78 @@ def test_unallocatable_ensemble_exits_2_without_csv(tmp_path, capsys):
     _assert_usage_error(code, capsys)
     assert not (tmp_path / "mc.csv").exists()
     assert not (tmp_path / "mc.json").exists()
+
+
+MALFORMED_CONFIGS = {
+    "no_section_header": "a0 = 1e8\n",
+    "duplicate_option": "[hyperfine]\nfield = 1.0\nfield = 2.0\n",
+    "duplicate_section": "[hyperfine]\nfield = 1.0\n[hyperfine]\ntemperature = 2.0\n",
+    "unparsable_line": "[hyperfine]\nfield = 1.0\nnot a key value line\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["channel", "hyperfine"],
+        ["sweep", "--channel", "hyperfine", "--param", "field", "--grid", "1:2:3:lin"],
+    ],
+    ids=["channel", "sweep"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, case, command):
+    config = tmp_path / f"{case}.ini"
+    config.write_text(MALFORMED_CONFIGS[case])
+    argv = command + ["--config", str(config)]
+    if command[0] == "sweep":
+        argv += ["--out", str(tmp_path / "sweep.csv")]
+    line = _assert_usage_error(main(argv), capsys)
+    assert line.startswith(f"error: malformed config file {config}: ")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def _unwritable_argv(tmp_path, option, target):
+    base = {
+        "constants": ["constants"],
+        "channel": ["channel", "hyperfine", "--t-max", "1e-3"],
+        "sweep": ["sweep", "--channel", "hyperfine", "--param", "field",
+                  "--grid", "1:2:3:lin", "--out", str(tmp_path / "sweep.csv")],
+        "montecarlo": _montecarlo_argv(tmp_path),
+        "audit": ["audit"],
+    }[option[0]]
+    return base + [option[1], target]
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("constants", "--out"),
+        ("channel", "--out"),
+        ("channel", "--profile-out"),
+        ("sweep", "--out"),
+        ("montecarlo", "--out"),
+        ("montecarlo", "--summary-out"),
+        ("audit", "--out"),
+    ],
+    ids=lambda option: " ".join(option),
+)
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_output_exits_2(tmp_path, capsys, option, where):
+    if where == "directory":
+        target = tmp_path / "taken"
+        target.mkdir()
+    else:
+        target = tmp_path / "absent" / "out.json"
+    # A later option of the same name wins, so the target replaces any
+    # default output path given by the base command.
+    code = main(_unwritable_argv(tmp_path, option, str(target)))
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ")
+    assert str(target) in lines[0]
+    # audit prints its table, and channel without --out its report, to
+    # stdout before the file is opened.
+    if option not in (("audit", "--out"), ("channel", "--profile-out")):
+        assert captured.out == ""
