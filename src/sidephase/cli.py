@@ -90,6 +90,24 @@ def _write_json(path: str | None, payload) -> None:
         fh.write(text + "\n")
 
 
+def _check_outputs(args: argparse.Namespace, *options: str) -> None:
+    """Refuse an output path that cannot be created before anything runs.
+
+    A command with two outputs would otherwise write the first and then
+    fail on the second.  Other open errors still reach main as OSError.
+    """
+    for option in options:
+        path = getattr(args, option)
+        if not path:
+            continue
+        flag = "--" + option.replace("_", "-")
+        if os.path.isdir(path):
+            raise UsageError(f"{flag} {path} is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise UsageError(f"{flag} {path}: no such directory {parent}")
+
+
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
@@ -194,6 +212,7 @@ def _profile_for(channel, kind: str, t_max: float, t_points: int) -> Decoherence
 
 
 def cmd_channel(args: argparse.Namespace) -> int:
+    _check_outputs(args, "out", "profile_out")
     if args.profile_out and args.t_max is None:
         raise UsageError("--profile-out requires --t-max")
     if args.t_max is not None and not 0.0 < args.t_max < math.inf:
@@ -275,6 +294,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
+    _check_outputs(args, "out", "summary_out")
     seed = _resolve_seed(args.seed)
     correlation = ExponentialCorrelation(args.variance, args.tau_c)
     plan = SimulationPlan(
@@ -321,6 +341,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    _check_outputs(args, "out")
     entries = build_audit()
     sys.stdout.write(render_table(entries) + "\n")
     if args.out:

@@ -68,14 +68,21 @@ def read_channel_config(path: str) -> dict[str, dict[str, float]]:
     """Parse and validate a config file into {section: {key: value}}."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        # Opened here, not by parser.read, which skips unreadable files;
+        # the encoding is the locale default, as parser.read would use.
+        with open(path) as fh:
+            parser.read_file(fh)
+    except FileNotFoundError:
+        raise UsageError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise UsageError(f"config file is a directory: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file is not {exc.encoding} text: {path}") from None
     except configparser.Error as exc:
         # Missing section header, duplicate option or section, bad line;
         # configparser's messages span lines, an error line must not.
         detail = " ".join(str(exc).split())
         raise UsageError(f"malformed config file {path}: {detail}") from None
-    if not read:
-        raise UsageError(f"config file not found: {path}")
     result: dict[str, dict[str, float]] = {}
     for section in parser.sections():
         if section not in PARAMS:

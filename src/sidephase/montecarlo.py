@@ -24,13 +24,14 @@ O((dt/tau_c)^2) bias the plan constraints hold far below statistical
 error.  They sample the same process independently of the exact update.
 
 Determinism: trajectory i draws from its own stream, row i of
-index_normals(master_seed, ...), which defines the register's stream too.
+index_normals(master_seed, ...), which defines the register's stream too:
+one Philox key per run, and index i's counter starts at (0, i, 0, 0).
 Trajectories are sampled in fixed blocks of _BLOCK indices, which also
 bounds the draw buffer; each worker takes one contiguous run of blocks and
 writes its rows of preallocated arrays, and the reduction runs over those
 arrays in fixed index order.  The outcome is therefore byte-stable under
-any worker count.  Seeding a stream per trajectory holds the GIL and
-dominates a run, so extra workers do not make it faster.
+any worker count.  The per-row counter reset and draw hold the GIL, so
+extra workers do not make a run faster.
 """
 
 from __future__ import annotations
@@ -139,14 +140,26 @@ class SimulationPlan:
 def index_normals(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     """Standard normals of indices lo..hi-1, one row of width draws each.
 
-    Row i - lo is the start of index i's own stream, the default_rng of
-    SeedSequence(entropy=seed, spawn_key=(i,)), so a draw depends only on
-    (seed, i): never on the block, the worker or the sampling order.
+    Row i - lo is the start of index i's own counter-based stream,
+    Generator(Philox(key=K, counter=[0, i, 0, 0])) with the run key
+    K = SeedSequence(seed).generate_state(2, np.uint64).  A draw depends
+    only on (seed, i): never on the block, the worker or the sampling
+    order.  Consecutive indices start 2**64 Philox blocks apart, so rows
+    never overlap.  One generator serves the whole block; each row only
+    resets its counter and discards the buffered words.
     """
+    bit_generator = np.random.Philox(
+        key=np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    )
+    generator = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    counter = state["state"]["counter"]
     draws = np.empty((hi - lo, width))
     for row, index in enumerate(range(lo, hi)):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        np.random.default_rng(seq).standard_normal(out=draws[row])
+        counter[:] = (0, index, 0, 0)
+        state["buffer_pos"] = 4
+        bit_generator.state = state
+        generator.standard_normal(out=draws[row])
     return draws
 
 

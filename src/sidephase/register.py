@@ -84,8 +84,9 @@ class ErrorSampler:
     """Zero-mean Gaussian error vectors with per-axis widths sigma.
 
     Copy i is sigma times row i of montecarlo.index_normals(seed, ...), the
-    stream definition the trajectory ensemble uses too, so sampling can be
-    partitioned arbitrarily without changing any draw.
+    stream definition the trajectory ensemble uses too: the Philox stream
+    keyed by the seed whose counter starts at (0, i, 0, 0).  Sampling can
+    therefore be partitioned arbitrarily without changing any draw.
     """
 
     sigma: tuple[float, float, float]

@@ -10,9 +10,11 @@ import math
 import numpy as np
 import pytest
 
+from sidephase import montecarlo
 from sidephase.dephasing import ExponentialCorrelation
 from sidephase.montecarlo import (
     SimulationPlan,
+    ensemble_coherence,
     generate_trajectory,
     index_normals,
     standard_error,
@@ -49,6 +51,33 @@ class TestIndexNormals:
         plan = SimulationPlan(ExponentialCorrelation(4.0, 1.0), 1.0, 40, 5, 11)
         first = generate_trajectory(plan, 3)[0]
         assert first == 2.0 * index_normals(11, 3, 4, 41)[0, 0]
+
+
+class TestPhiloxStream:
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    @pytest.mark.parametrize("width", [3, 101])
+    def test_row_is_the_index_counter_stream(self, seed, width):
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        lo, hi = 5, 12
+        block = index_normals(seed, lo, hi, width)
+        for i in range(lo, hi):
+            stream = np.random.Generator(np.random.Philox(key=key, counter=[0, i, 0, 0]))
+            assert block[i - lo].tobytes() == stream.standard_normal(width).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 97, 1000])
+    def test_ensemble_bytes_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        plan = SimulationPlan(ExponentialCorrelation(1.0, 0.1), 1.0, 400, 601, 23)
+        reference = ensemble_coherence(plan, n_grid=20)
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        result = ensemble_coherence(plan, n_grid=20)
+        for name in (
+            "mean_coherence",
+            "std_error",
+            "im_std_error",
+            "mean_phase_sq",
+            "std_error_phase_sq",
+        ):
+            assert getattr(result, name).tobytes() == getattr(reference, name).tobytes()
 
 
 class TestStandardError:

@@ -5,6 +5,7 @@ stderr, never in a traceback or in NaN-filled output.
 """
 
 import json
+import locale
 import math
 import os
 import warnings
@@ -373,3 +374,92 @@ def test_unwritable_output_exits_2(tmp_path, capsys, option, where):
     # stdout before the file is opened.
     if option not in (("audit", "--out"), ("channel", "--profile-out")):
         assert captured.out == ""
+
+
+MC_COMMAND = ["montecarlo"] + [item for pair in MC_BASE.items() for item in pair]
+
+CONFIG_COMMANDS = [
+    ["channel", "hyperfine"],
+    ["sweep", "--channel", "hyperfine", "--param", "field", "--grid", "1:2:3:lin"],
+]
+
+
+def _decodes(data, encoding):
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _config_path(tmp_path, case):
+    if case == "missing":
+        return tmp_path / "absent.ini"
+    if case == "directory":
+        path = tmp_path / "conf.d"
+        path.mkdir()
+        return path
+    path = tmp_path / "binary.ini"
+    path.write_bytes(b"[hyperfine]\nfield = 1.0\xff\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("missing", "config file not found: "),
+        ("directory", "config file is a directory: "),
+        ("undecodable", "config file is not "),
+    ],
+    ids=["missing", "directory", "undecodable"],
+)
+@pytest.mark.parametrize("command", CONFIG_COMMANDS, ids=["channel", "sweep"])
+def test_unreadable_config_names_the_file(tmp_path, capsys, case, message, command):
+    if case == "undecodable" and _decodes(b"\xff", locale.getpreferredencoding(False)):
+        pytest.skip("the locale encoding decodes every byte")
+    config = _config_path(tmp_path, case)
+    argv = command + ["--config", str(config)]
+    if command[0] == "sweep":
+        argv += ["--out", str(tmp_path / "sweep.csv")]
+    line = _assert_usage_error(main(argv), capsys)
+    assert line.startswith("error: " + message)
+    assert str(config) in line
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,good,bad",
+    [
+        (["channel", "hyperfine", "--t-max", "1e-3"], "--out", "--profile-out"),
+        (["channel", "hyperfine", "--t-max", "1e-3"], None, "--profile-out"),
+        (["channel", "hyperfine", "--t-max", "1e-3"], "--profile-out", "--out"),
+        (MC_COMMAND, "--out", "--summary-out"),
+        (MC_COMMAND, "--summary-out", "--out"),
+        (["audit"], None, "--out"),
+    ],
+    ids=[
+        "channel-profile-out",
+        "channel-stdout-profile-out",
+        "channel-out",
+        "montecarlo-summary-out",
+        "montecarlo-out",
+        "audit-out",
+    ],
+)
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_output_writes_nothing(tmp_path, capsys, command, good, bad, where):
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    if where == "directory":
+        target = outputs / "taken"
+        target.mkdir()
+    else:
+        target = outputs / "absent" / "out"
+    argv = command + [bad, str(target)]
+    if good:
+        argv += [good, str(outputs / "good")]
+    line = _assert_usage_error(main(argv), capsys)
+    assert line.startswith(f"error: {bad} {target}")
+    assert sorted(p.name for p in outputs.iterdir()) == (
+        ["taken"] if where == "directory" else []
+    )
