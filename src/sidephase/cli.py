@@ -33,10 +33,11 @@ from .config import (
 )
 from .dephasing import (
     CONVENTIONS,
-    DecoherenceProfile,
     ExponentialCorrelation,
-    build_profile,
+    check_profile,
     decoherence_time,
+    gamma_exact,
+    write_profile_csv,
 )
 from .mechanisms import PHONON_MODES, channel_to_correlation, phonon_rate
 from .montecarlo import (
@@ -200,15 +201,23 @@ def _report(kind: str, channel, convention: str) -> dict:
     return report
 
 
-def _profile_for(channel, kind: str, t_max: float, t_points: int) -> DecoherenceProfile:
+def _profile_for(
+    channel, kind: str, t_max: float, t_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and Gamma(t) on the --profile-out grid, checked before writing."""
     times = np.linspace(0.0, t_max, t_points)
     if kind == "phonon":
-        rate = phonon_rate(channel, "exact-integral")
-        return DecoherenceProfile(
-            times=tuple(float(t) for t in times),
-            gamma_values=tuple(float(rate * t) for t in times),
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma_values = phonon_rate(channel, "exact-integral") * times
+    else:
+        gamma_values = gamma_exact(channel_to_correlation(channel), times)
+    if not np.isfinite(gamma_values).all():
+        raise UsageError(
+            f"{kind} channel: Gamma(t) is not finite up to "
+            f"--t-max {t_max:.6g} s; shorten --t-max"
         )
-    return build_profile(channel_to_correlation(channel), times)
+    check_profile(times, gamma_values)
+    return times, gamma_values
 
 
 def cmd_channel(args: argparse.Namespace) -> int:
@@ -226,15 +235,10 @@ def cmd_channel(args: argparse.Namespace) -> int:
     report = _channel_report(args.kind, channel, args.convention)
     if args.profile_out:
         profile = _profile_for(channel, args.kind, args.t_max, args.t_points)
-        if not all(math.isfinite(g) for g in profile.gamma_values):
-            raise UsageError(
-                f"{args.kind} channel: Gamma(t) is not finite up to "
-                f"--t-max {args.t_max:.6g} s; shorten --t-max"
-            )
     _write_json(args.out, report)
     if args.profile_out:
         with open(args.profile_out, "w", newline="") as fh:
-            profile.write_csv(fh)
+            write_profile_csv(fh, *profile)
     return 0
 
 

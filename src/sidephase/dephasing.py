@@ -7,13 +7,22 @@ exp(-|t|/tau_c), the coherence envelope is exp(-Gamma(t)) with
 
 The static limit (tau_c -> inf) is Gamma = variance t^2 / 2 and the
 motional-narrowing limit is Gamma = variance tau_c t.
+
+gamma_exact, coherence_envelope and the profile writer also take float64
+arrays and give the same bits as the float path element by element:
+numpy's + - * / round exactly as Python floats do, and the libm calls
+(exp, expm1, pow) go through math, because numpy's own versions differ
+from them in the last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 __all__ = [
     "ExponentialCorrelation",
@@ -24,6 +33,8 @@ __all__ = [
     "decoherence_time",
     "build_profile",
     "bisect_increasing",
+    "check_profile",
+    "write_profile_csv",
     "CONVENTIONS",
 ]
 
@@ -34,6 +45,11 @@ CONVENTIONS = ("static", "markovian", "unit-gamma")
 # quartic series is used instead (its truncation error there is ~1e-20
 # relative, so the branches join far tighter than the 1e-12 requirement).
 _SERIES_SWITCH = 1e-6
+# Below this x the kernel x - 1 + exp(-x) is summed as a series.
+_KERNEL_SWITCH = 0.05
+# Profile CSV rows formatted per write; bounds the text held at once.
+_CSV_CHUNK = 4096
+_CSV_ROW = "%.17g,%.17g,%.17g\n"
 
 
 @dataclass(frozen=True)
@@ -64,7 +80,7 @@ def _gamma_kernel(x: float) -> float:
     Plain x + expm1(-x) keeps only ~x/eps digits once x is small; below
     0.05 the alternating series sum_{n>=2} (-x)^n/n! is summed instead.
     """
-    if x < 0.05:
+    if x < _KERNEL_SWITCH:
         term = 0.5 * x * x
         total = term
         n = 2
@@ -77,6 +93,61 @@ def _gamma_kernel(x: float) -> float:
     return x + math.expm1(-x)
 
 
+def _libm(func, values: np.ndarray, *args) -> np.ndarray:
+    """func from math applied element by element, for float-path bits."""
+    flat = map(func, values.ravel().tolist(), *args)
+    return np.fromiter(flat, np.float64, values.size).reshape(values.shape)
+
+
+def _series_array(x: np.ndarray) -> np.ndarray:
+    """_gamma_kernel's series for each x; each element stops at its own term."""
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    term = 0.5 * x * x
+    total = term.copy()
+    n = 2
+    while idx.size:
+        n += 1
+        term *= -x / n
+        total += term
+        done = np.abs(term) <= 1e-17 * np.abs(total)
+        out[idx[done]] = total[done]
+        keep = ~done
+        idx, x, term, total = idx[keep], x[keep], term[keep], total[keep]
+    return out
+
+
+def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarray:
+    """gamma_exact for each element of t, branch by branch under masks."""
+    if (t < 0.0).any():
+        raise ValueError("t must be nonnegative")
+    shape = t.shape
+    t = np.asarray(t, dtype=np.float64).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if correlation.is_static:
+            out = 0.5 * correlation.variance * t * t
+        else:
+            x = t / correlation.tau_c
+            scale = correlation.variance * correlation.tau_c * correlation.tau_c
+            kernel = np.empty_like(x)
+            poly = x < _SERIES_SWITCH
+            small = x < _KERNEL_SWITCH
+            series = small & ~poly
+            closed = ~small
+            xp = x[poly]
+            kernel[poly] = (
+                xp * xp / 2.0
+                - _libm(math.pow, xp, repeat(3.0)) / 6.0
+                + _libm(math.pow, xp, repeat(4.0)) / 24.0
+            )
+            kernel[series] = _series_array(x[series])
+            xc = x[closed]
+            kernel[closed] = xc + _libm(math.expm1, -xc)
+            out = scale * kernel
+    out[t == 0.0] = 0.0
+    return out.reshape(shape)
+
+
 def gamma_static(correlation: ExponentialCorrelation, t: float) -> float:
     """Frozen-noise limit: variance * t^2 / 2."""
     if t < 0.0:
@@ -84,8 +155,16 @@ def gamma_static(correlation: ExponentialCorrelation, t: float) -> float:
     return 0.5 * correlation.variance * t * t
 
 
-def gamma_exact(correlation: ExponentialCorrelation, t: float) -> float:
-    """Dephasing exponent Gamma(t) for the exponential correlation."""
+def gamma_exact(correlation: ExponentialCorrelation, t):
+    """Dephasing exponent Gamma(t) for the exponential correlation.
+
+    t is a float, or an array evaluated element by element with the float
+    path's bits.  Gamma(0) is 0 even where variance * tau_c^2 overflows.
+    """
+    # A Python float, as in the unit-gamma bisection's many calls, skips
+    # the slower isinstance test.
+    if type(t) is not float and isinstance(t, np.ndarray):
+        return _gamma_array(correlation, t)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if correlation.is_static:
@@ -93,12 +172,16 @@ def gamma_exact(correlation: ExponentialCorrelation, t: float) -> float:
     x = t / correlation.tau_c
     scale = correlation.variance * correlation.tau_c * correlation.tau_c
     if x < _SERIES_SWITCH:
+        if t == 0.0:
+            return 0.0
         return scale * (x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0)
     return scale * _gamma_kernel(x)
 
 
-def coherence_envelope(correlation: ExponentialCorrelation, t: float) -> float:
-    """exp(-Gamma(t))."""
+def coherence_envelope(correlation: ExponentialCorrelation, t):
+    """exp(-Gamma(t)), for a float or an array as in gamma_exact."""
+    if isinstance(t, np.ndarray):
+        return _libm(math.exp, -gamma_exact(correlation, t))
     return math.exp(-gamma_exact(correlation, t))
 
 
@@ -155,6 +238,36 @@ def decoherence_time(
     )
 
 
+def check_profile(times: np.ndarray, gamma_values: np.ndarray) -> None:
+    """Reject a Gamma(t) profile that is not a valid table.
+
+    Times must be nonnegative and increasing, and Gamma nonnegative and
+    nondecreasing to within 1e-15; NaN in either is rejected.
+    """
+    if times.shape != gamma_values.shape:
+        raise ValueError("times and gamma_values must have equal length")
+    if np.isnan(times).any() or np.isnan(gamma_values).any():
+        raise ValueError("times and gamma_values must not be NaN")
+    if (times < 0.0).any() or (times[1:] <= times[:-1]).any():
+        raise ValueError("times must be nonnegative and increasing")
+    # The first value is held to the same tolerance against -1e-15.
+    previous = np.concatenate(([-1e-15], gamma_values[:-1]))
+    if (gamma_values < previous - 1e-15).any():
+        raise ValueError("gamma_values must be nondecreasing")
+    if (gamma_values < 0.0).any():
+        raise ValueError("gamma_values must be nonnegative")
+
+
+def write_profile_csv(stream: TextIO, times: np.ndarray, gamma_values: np.ndarray) -> None:
+    """Write t, Gamma and exp(-Gamma) at 17 significant digits, by chunks."""
+    stream.write("t_seconds,gamma,envelope\n")
+    for lo in range(0, times.size, _CSV_CHUNK):
+        t = times[lo:lo + _CSV_CHUNK]
+        g = gamma_values[lo:lo + _CSV_CHUNK]
+        rows = np.column_stack((t, g, _libm(math.exp, -g)))
+        stream.write(_CSV_ROW * t.size % tuple(rows.ravel().tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class DecoherenceProfile:
     """Sampled Gamma(t): paired time and exponent sequences."""
@@ -163,34 +276,27 @@ class DecoherenceProfile:
     gamma_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.gamma_values):
-            raise ValueError("times and gamma_values must have equal length")
-        prev_t = -math.inf
-        prev_g = -1e-15
-        for t, g in zip(self.times, self.gamma_values):
-            if t < 0.0 or t <= prev_t:
-                raise ValueError("times must be nonnegative and increasing")
-            if g < prev_g - 1e-15:
-                raise ValueError("gamma_values must be nondecreasing")
-            prev_t, prev_g = t, g
-        if any(g < 0.0 for g in self.gamma_values):
-            raise ValueError("gamma_values must be nonnegative")
+        check_profile(*self._arrays())
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.asarray(self.times, dtype=np.float64),
+            np.asarray(self.gamma_values, dtype=np.float64),
+        )
 
     def envelopes(self) -> tuple[float, ...]:
         return tuple(math.exp(-g) for g in self.gamma_values)
 
     def write_csv(self, stream: TextIO) -> None:
-        stream.write("t_seconds,gamma,envelope\n")
-        for t, g, e in zip(self.times, self.gamma_values, self.envelopes()):
-            stream.write(f"{t:.17g},{g:.17g},{e:.17g}\n")
+        write_profile_csv(stream, *self._arrays())
 
 
 def build_profile(
     correlation: ExponentialCorrelation,
     times: Sequence[float] | Iterable[float],
 ) -> DecoherenceProfile:
-    ts = tuple(float(t) for t in times)
+    ts = np.fromiter(map(float, times), np.float64)
     return DecoherenceProfile(
-        times=ts,
-        gamma_values=tuple(gamma_exact(correlation, t) for t in ts),
+        times=tuple(ts.tolist()),
+        gamma_values=tuple(gamma_exact(correlation, ts).tolist()),
     )

@@ -378,7 +378,7 @@ def compare_to_analytic(
     Zero standard error is tolerated only where the deviation also
     vanishes (exact replay); otherwise statistics are degenerate.
     """
-    envelope = np.array([coherence_envelope(correlation, t) for t in result.times])
+    envelope = coherence_envelope(correlation, result.times)
     abs_mean = np.abs(result.mean_coherence)
     deviation = np.abs(abs_mean - envelope)
     zero_spread = result.std_error == 0.0

@@ -1,0 +1,209 @@
+"""Array-native Gamma(t): the same bits as the float path, and the same bytes.
+
+gamma_exact and coherence_envelope take arrays, and `channel --profile-out`
+evaluates, checks and writes its profile from arrays.  None of this may move
+an output byte, so the array results are compared with the float path bit
+for bit, and the profile CSVs against digests recorded before the change.
+"""
+
+import hashlib
+import io
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import sidephase
+from sidephase import dephasing
+from sidephase.cli import main
+from sidephase.dephasing import (
+    DecoherenceProfile,
+    ExponentialCorrelation,
+    build_profile,
+    coherence_envelope,
+    gamma_exact,
+    write_profile_csv,
+)
+from sidephase.montecarlo import EnsembleCoherence, compare_to_analytic
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sidephase.__file__)))
+
+CONFIG = """\
+[hyperfine]
+field = 2.0
+temperature = 0.1
+tau1 = 1e4
+
+[phonon]
+temperature = 0.1
+
+[paramagnetic]
+concentration = 0.7e26
+field = 2.0
+temperature = 0.1
+tau1_imp = 1e4
+
+[nuclear]
+concentration = 2.25e25
+field = 2.0
+spin_temperature = 0.8e-3
+t_parallel_imp = 1e4
+"""
+
+# sha256 of `channel <kind> --config CONFIG --profile-out ... --t-max <t_max>
+# --t-points 20001`, recorded with the scalar profile path.  Every channel
+# above has tau_c = 1e4 s; between them the grids cross t/tau_c = 1e-6 and
+# 0.05, so the quartic, series and expm1 branches are all written.
+GOLDEN = [
+    ("hyperfine", "4e-3", "fb817a01c70e617192e0767c4ddb812ba2581c4e793149bd61a4f06eb49fb961"),
+    ("hyperfine", "1e9", "7dd963674e1216d38acec8a04127564d8fcd5b00ceb8de610c18bb23f3a9dffb"),
+    ("paramagnetic", "4.0", "00ca0472e6f310a81183d0fc161cf39b015e117ebd8228433717b4dedb2f8110"),
+    ("paramagnetic", "1e6", "5101e3f05c49a30e74e282ad8aafa6854281dbb0bcbb172b36fe698fabc8d760"),
+    ("nuclear", "0.11", "7e7c75d56587a31bf5153fc22f1b7aa43b14e0901045c0bd5744589477fb3785"),
+    ("nuclear", "1e5", "e18d5ed90668339cd6e84b0998445497ee372a3743fd63fe6c2f898ac13c3e6d"),
+    ("phonon", "1.3e23", "d2f319a8077c696512aa252ae1bd14805ab1088672dd88867a225b2a7ccedeaa"),
+]
+
+CORRELATIONS = [
+    ExponentialCorrelation(1.0, 1.0),
+    ExponentialCorrelation(3000.0, 1e-3),
+    ExponentialCorrelation(1.23e6, 1e4),
+    ExponentialCorrelation(0.0, 2.0),
+    ExponentialCorrelation(1e300, 1e10),
+    ExponentialCorrelation(2.0, math.inf),
+]
+
+
+def _dense_x() -> np.ndarray:
+    """t/tau_c values around and between the switch points 1e-6 and 0.05."""
+    rng = np.random.default_rng(9)
+    switches = np.array([1e-6, 0.05])
+    return np.concatenate(
+        [
+            np.linspace(0.0, 2e-6, 20_001),
+            np.linspace(0.0, 0.1, 20_001),
+            np.geomspace(1e-12, 1e3, 20_001),
+            rng.uniform(0.0, 1e-6, 20_000),
+            rng.uniform(1e-6, 0.05, 20_000),
+            rng.uniform(0.05, 60.0, 20_000),
+            switches,
+            np.nextafter(switches, 0.0),
+            np.nextafter(switches, 1.0),
+            [0.0, 5e-324, math.inf],
+        ]
+    )
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind,t_max,digest", GOLDEN)
+def test_profile_csv_bytes_are_unchanged(tmp_path, capsys, kind, t_max, digest):
+    config = tmp_path / "channels.ini"
+    config.write_text(CONFIG)
+    profile = tmp_path / "p.csv"
+    argv = ["channel", kind, "--config", str(config), "--out", str(tmp_path / "r.json")]
+    argv += ["--profile-out", str(profile), "--t-max", t_max, "--t-points", "20001"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(profile.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("corr", CORRELATIONS, ids=repr)
+def test_array_gamma_matches_float_path_bit_for_bit(corr):
+    tau = corr.tau_c if math.isfinite(corr.tau_c) else 1.0
+    times = _dense_x() * tau
+    scalar = [gamma_exact(corr, t) for t in times.tolist()]
+    array = gamma_exact(corr, times)
+    assert array.dtype == np.float64 and array.shape == times.shape
+    assert np.array_equal(_bits(array), _bits(scalar))
+    envelope = [math.exp(-g) for g in scalar]
+    assert np.array_equal(_bits(coherence_envelope(corr, times)), _bits(envelope))
+
+
+def test_array_gamma_keeps_shape_and_rejects_negative_times():
+    corr = ExponentialCorrelation(2.0, 0.5)
+    times = np.array([[0.0, 0.01], [0.1, 3.0]])
+    gamma = gamma_exact(corr, times)
+    assert gamma.shape == (2, 2)
+    assert gamma.tolist() == [[gamma_exact(corr, t) for t in row] for row in times.tolist()]
+    with pytest.raises(ValueError, match="nonnegative"):
+        gamma_exact(corr, np.array([0.1, -1e-300]))
+
+
+def test_gamma_at_zero_is_zero_when_the_scale_overflows():
+    corr = ExponentialCorrelation(1e300, 1e10)
+    assert math.isinf(corr.variance * corr.tau_c * corr.tau_c)
+    assert gamma_exact(corr, 0.0) == 0.0
+    assert coherence_envelope(corr, 0.0) == 1.0
+    assert gamma_exact(corr, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "times,gamma_values",
+    [((math.nan,), (math.nan,)), ((math.nan,), (0.0,)), ((0.1,), (math.nan,)),
+     ((0.1, 0.2), (0.0, math.nan)), ((0.1, math.nan, 0.3), (0.0, 0.1, 0.2))],
+)
+def test_profile_rejects_nan(times, gamma_values):
+    with pytest.raises(ValueError, match="NaN"):
+        DecoherenceProfile(times=times, gamma_values=gamma_values)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_csv_bytes_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    corr = ExponentialCorrelation(3000.0, 1e-3)
+    times = np.linspace(0.0, 0.2, 1001)
+    profile = build_profile(corr, times)
+    expected = "t_seconds,gamma,envelope\n" + "".join(
+        f"{t:.17g},{g:.17g},{math.exp(-g):.17g}\n"
+        for t, g in zip(profile.times, profile.gamma_values)
+    )
+    monkeypatch.setattr(dephasing, "_CSV_CHUNK", chunk)
+    buf = io.StringIO()
+    profile.write_csv(buf)
+    assert buf.getvalue() == expected
+    buf = io.StringIO()
+    write_profile_csv(buf, times, gamma_exact(corr, times))
+    assert buf.getvalue() == expected
+
+
+@pytest.mark.parametrize(
+    "corr", [ExponentialCorrelation(1.0, 2e6), ExponentialCorrelation(3000.0, 1e-3)], ids=repr
+)
+def test_compare_to_analytic_envelope_is_the_float_path(corr):
+    times = np.linspace(0.0, 2.0, 50)
+    ones = np.ones_like(times)
+    result = EnsembleCoherence(
+        times=times,
+        mean_coherence=ones.astype(complex),
+        std_error=ones,
+        im_std_error=ones,
+        mean_phase_sq=ones,
+        std_error_phase_sq=ones,
+        n_trajectories=1,
+    )
+    comparison = compare_to_analytic(result, corr)
+    expected = [math.exp(-gamma_exact(corr, t)) for t in times]
+    assert np.array_equal(_bits(comparison.analytic_envelope), _bits(expected))
+
+
+def test_non_finite_profile_prints_one_stderr_line(tmp_path):
+    """An overflowing horizon exits 2 with the error line and no numpy warning."""
+    profile = tmp_path / "p.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = ["channel", "hyperfine", "--profile-out", str(profile), "--t-max", "1e300"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sidephase.cli", *argv, "--t-points", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: hyperfine channel: Gamma(t) is not finite")
+    assert not profile.exists()
