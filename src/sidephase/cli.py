@@ -15,8 +15,7 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import constants as const
 from .audit import build_audit, render_table
@@ -40,13 +39,9 @@ from .dephasing import (
     write_profile_csv,
 )
 from .mechanisms import PHONON_MODES, channel_to_correlation, phonon_rate
-from .montecarlo import (
-    DegenerateStatisticsError,
-    PlanRejectedError,
-    SimulationPlan,
-    compare_to_analytic,
-    ensemble_coherence,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main"]
 
@@ -55,9 +50,8 @@ INSIGNIFICANT_RATE = 1e-20  # 1/s; below this a rate is reported as negligible
 
 def _fmt(value) -> str:
     """CSV cell: floats at 17 significant digits, flags as 0/1."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    # __index__ marks int, bool and numpy integers alike, without numpy.
+    if hasattr(value, "__index__"):
         return str(int(value))
     return f"{float(value):.17g}"
 
@@ -205,6 +199,8 @@ def _profile_for(
     channel, kind: str, t_max: float, t_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and Gamma(t) on the --profile-out grid, checked before writing."""
+    import numpy as np
+
     times = np.linspace(0.0, t_max, t_points)
     if kind == "phonon":
         with np.errstate(over="ignore", invalid="ignore"):
@@ -298,6 +294,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
+    # The ensemble engine, and numpy with it, load only for this command.
+    from .montecarlo import DegenerateStatisticsError, PlanRejectedError
+
+    try:
+        return _montecarlo(args)
+    except PlanRejectedError as exc:
+        print(f"plan rejected: {exc}", file=sys.stderr)
+        return 3
+    except DegenerateStatisticsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _montecarlo(args: argparse.Namespace) -> int:
+    from .montecarlo import SimulationPlan, compare_to_analytic, ensemble_coherence
+
     _check_outputs(args, "out", "summary_out")
     seed = _resolve_seed(args.seed)
     correlation = ExponentialCorrelation(args.variance, args.tau_c)
@@ -432,12 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PlanRejectedError as exc:
-        print(f"plan rejected: {exc}", file=sys.stderr)
-        return 3
-    except (
-        ValueError, OverflowError, MemoryError, OSError, DegenerateStatisticsError
-    ) as exc:
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         # UsageError, the library's argument checks, finite inputs too large
         # for float arithmetic, arrays too large to allocate and output paths
         # that cannot be written alike: exit 2.

@@ -11,8 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .mechanisms import (
     HyperfineElectronChannel,
@@ -20,6 +19,9 @@ from .mechanisms import (
     ParamagneticImpurityChannel,
     PhononRamanChannel,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UsageError",
@@ -162,6 +164,8 @@ def parse_grid(text: str) -> tuple[float, float, int, str]:
 
 
 def grid_values(spec: SweepSpec) -> np.ndarray:
+    import numpy as np
+
     if spec.scale == "lin":
         return np.linspace(spec.grid_min, spec.grid_max, spec.count)
     return np.geomspace(spec.grid_min, spec.grid_max, spec.count)

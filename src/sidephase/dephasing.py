@@ -12,17 +12,20 @@ gamma_exact, coherence_envelope and the profile writer also take float64
 arrays and give the same bits as the float path element by element:
 numpy's + - * / round exactly as Python floats do, and the libm calls
 (exp, expm1, pow) go through math, because numpy's own versions differ
-from them in the last bit.
+from them in the last bit.  numpy is imported where arrays are first made,
+so the float path, and the closed-form reports built on it, run without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ExponentialCorrelation",
@@ -93,14 +96,24 @@ def _gamma_kernel(x: float) -> float:
     return x + math.expm1(-x)
 
 
+def _is_array(value) -> bool:
+    """Whether value is an ndarray; none can exist before numpy is loaded."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
+
 def _libm(func, values: np.ndarray, *args) -> np.ndarray:
     """func from math applied element by element, for float-path bits."""
+    import numpy as np
+
     flat = map(func, values.ravel().tolist(), *args)
     return np.fromiter(flat, np.float64, values.size).reshape(values.shape)
 
 
 def _series_array(x: np.ndarray) -> np.ndarray:
     """_gamma_kernel's series for each x; each element stops at its own term."""
+    import numpy as np
+
     out = np.empty_like(x)
     idx = np.arange(x.size)
     term = 0.5 * x * x
@@ -119,6 +132,8 @@ def _series_array(x: np.ndarray) -> np.ndarray:
 
 def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarray:
     """gamma_exact for each element of t, branch by branch under masks."""
+    import numpy as np
+
     if (t < 0.0).any():
         raise ValueError("t must be nonnegative")
     shape = t.shape
@@ -143,7 +158,13 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
             kernel[series] = _series_array(x[series])
             xc = x[closed]
             kernel[closed] = xc + _libm(math.expm1, -xc)
-            out = scale * kernel
+            if scale == math.inf:
+                # The forms gamma_exact takes without the overflowing scale.
+                variance, tau_c, tp = correlation.variance, correlation.tau_c, t[poly]
+                out = variance * tau_c * (tau_c * kernel)
+                out[poly] = variance * tp * tp * (0.5 - xp / 6.0 + xp * xp / 24.0)
+            else:
+                out = scale * kernel
     out[t == 0.0] = 0.0
     return out.reshape(shape)
 
@@ -159,11 +180,15 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
     """Dephasing exponent Gamma(t) for the exponential correlation.
 
     t is a float, or an array evaluated element by element with the float
-    path's bits.  Gamma(0) is 0 even where variance * tau_c^2 overflows.
+    path's bits.  Where the scale variance * tau_c^2 overflows, Gamma is
+    formed without it, and so is never NaN: below x = t/tau_c = 1e-6 (the
+    quasi-static side, where x^2 may underflow) as
+    variance t^2 (1/2 - x/6 + x^2/24), and above as
+    variance tau_c (tau_c kernel(x)).  Gamma(0) is 0.
     """
     # A Python float, as in the unit-gamma bisection's many calls, skips
-    # the slower isinstance test.
-    if type(t) is not float and isinstance(t, np.ndarray):
+    # the slower array test.
+    if type(t) is not float and _is_array(t):
         return _gamma_array(correlation, t)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -174,13 +199,18 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
     if x < _SERIES_SWITCH:
         if t == 0.0:
             return 0.0
+        if scale == math.inf:
+            return correlation.variance * t * t * (0.5 - x / 6.0 + x * x / 24.0)
         return scale * (x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0)
+    if scale == math.inf:
+        tau_c = correlation.tau_c
+        return correlation.variance * tau_c * (tau_c * _gamma_kernel(x))
     return scale * _gamma_kernel(x)
 
 
 def coherence_envelope(correlation: ExponentialCorrelation, t):
     """exp(-Gamma(t)), for a float or an array as in gamma_exact."""
-    if isinstance(t, np.ndarray):
+    if _is_array(t):
         return _libm(math.exp, -gamma_exact(correlation, t))
     return math.exp(-gamma_exact(correlation, t))
 
@@ -188,12 +218,12 @@ def coherence_envelope(correlation: ExponentialCorrelation, t):
 def bisect_increasing(func, lo: float, hi: float, rtol: float) -> float:
     """Root of an increasing func on [lo, hi] by bisection.
 
-    Requires func(lo) <= 0 <= func(hi); converges to rtol relative width,
-    or stops after 200 halvings.
+    Requires func(lo) <= 0 <= func(hi), which a NaN at either end fails;
+    converges to rtol relative width, or stops after 200 halvings.
     """
     f_lo = func(lo)
     f_hi = func(hi)
-    if f_lo > 0.0 or f_hi < 0.0:
+    if not f_lo <= 0.0 <= f_hi:
         raise ValueError("root is not bracketed")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -244,6 +274,8 @@ def check_profile(times: np.ndarray, gamma_values: np.ndarray) -> None:
     Times must be nonnegative and increasing, and Gamma nonnegative and
     nondecreasing to within 1e-15; NaN in either is rejected.
     """
+    import numpy as np
+
     if times.shape != gamma_values.shape:
         raise ValueError("times and gamma_values must have equal length")
     if np.isnan(times).any() or np.isnan(gamma_values).any():
@@ -260,6 +292,8 @@ def check_profile(times: np.ndarray, gamma_values: np.ndarray) -> None:
 
 def write_profile_csv(stream: TextIO, times: np.ndarray, gamma_values: np.ndarray) -> None:
     """Write t, Gamma and exp(-Gamma) at 17 significant digits, by chunks."""
+    import numpy as np
+
     stream.write("t_seconds,gamma,envelope\n")
     for lo in range(0, times.size, _CSV_CHUNK):
         t = times[lo:lo + _CSV_CHUNK]
@@ -279,6 +313,8 @@ class DecoherenceProfile:
         check_profile(*self._arrays())
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return (
             np.asarray(self.times, dtype=np.float64),
             np.asarray(self.gamma_values, dtype=np.float64),
@@ -295,6 +331,8 @@ def build_profile(
     correlation: ExponentialCorrelation,
     times: Sequence[float] | Iterable[float],
 ) -> DecoherenceProfile:
+    import numpy as np
+
     ts = np.fromiter(map(float, times), np.float64)
     return DecoherenceProfile(
         times=tuple(ts.tolist()),

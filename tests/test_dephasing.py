@@ -180,6 +180,16 @@ class TestBisection:
         with pytest.raises(ValueError):
             bisect_increasing(lambda x: x + 1.0, 0.0, 10.0, rtol=1e-9)
 
+    @pytest.mark.parametrize("at", ["lo", "hi"])
+    def test_nan_end_is_not_a_bracket(self, at):
+        def func(x):
+            if x == (0.0 if at == "lo" else 10.0):
+                return math.nan
+            return x - 3.0
+
+        with pytest.raises(ValueError, match="not bracketed"):
+            bisect_increasing(func, 0.0, 10.0, rtol=1e-9)
+
 
 class TestProfile:
     def test_build_and_envelopes(self):

@@ -1,15 +1,20 @@
-"""scipy stays off the import path of the package and the CLI.
+"""scipy and numpy stay off the import path of the package and the CLI.
 
 Importing scipy.integrate and scipy.signal costs far more than a short
-`channel` run, so they are imported where they are used.  These tests run a
-fresh interpreter, since this one has scipy loaded by other tests.
+`channel` run, and numpy about half of one, so they are imported where they
+are used.  These tests run a fresh interpreter, since this one has scipy and
+numpy loaded by other tests.
 """
 
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import sidephase
+from sidephase.cli import main
 from sidephase.dephasing import ExponentialCorrelation
 from sidephase.mechanisms import debye_integral
 from sidephase.montecarlo import SimulationPlan, generate_trajectory
@@ -63,3 +68,149 @@ def test_lazy_imports_give_the_in_process_values():
     )
     trajectory = eval(TRAJECTORY)
     assert lines == [repr(debye_integral(6250.0)), repr(trajectory), "True True"]
+
+
+# What a closed-form report must not load.
+HEAVY = ("numpy", "scipy", "sidephase.montecarlo", "sidephase.register")
+HEAVY_LOADED = f"sorted(m for m in sys.modules if m in {HEAVY!r} or m.split('.')[0] in {HEAVY!r})"
+
+NUMPY_FREE_COMMANDS = [["constants"]] + [
+    ["channel", kind, "--convention", convention]
+    for kind in ("hyperfine", "paramagnetic", "nuclear")
+    for convention in ("static", "markovian", "unit-gamma")
+]
+
+# The names the package exported when it imported every module eagerly,
+# by defining module.
+EXPORTS = {
+    "audit": ("AuditEntry", "build_audit", "render_table"),
+    "constants": (
+        "CONSTANTS", "ELECTRON", "MaterialParams", "NATURAL_SI29_ABUNDANCE_PERCENT",
+        "PHOSPHORUS_31", "PhysicalConstants", "SILICON", "SILICON_29", "SPECIES",
+        "SpinSpecies", "boltzmann_ratio", "spin_half_variance",
+        "spin_half_variance_full_arg",
+    ),
+    "dephasing": (
+        "DecoherenceProfile", "ExponentialCorrelation", "build_profile",
+        "coherence_envelope", "decoherence_time", "gamma_exact", "gamma_static",
+    ),
+    "mechanisms": (
+        "ConcentrationBound", "HyperfineElectronChannel", "NuclearImpurityChannel",
+        "ParamagneticImpurityChannel", "PhononRamanChannel",
+        "ThresholdUnattainableError", "UnsupportedChannelError",
+        "channel_to_correlation", "debye_integral", "hyperfine_variance",
+        "max_nuclear_impurity_concentration", "max_paramagnetic_concentration",
+        "nuclear_impurity_variance", "paramagnetic_variance", "phonon_rate",
+        "required_field_temperature_ratio",
+    ),
+    "montecarlo": (
+        "CoherenceComparison", "DegenerateStatisticsError", "EnsembleCoherence",
+        "PlanRejectedError", "SimulationPlan", "accumulate_phase",
+        "compare_to_analytic", "ensemble_coherence", "generate_trajectory",
+    ),
+    "qubit": (
+        "BlochState", "DensityMatrix", "apply_dephasing", "density_from_bloch",
+        "dephased_eigenvalues", "fidelity", "limiting_populations",
+    ),
+    "register": (
+        "EnsembleErrorReport", "ErrorSampler", "ensemble_average_state",
+        "error_phase", "error_probability", "error_unitary", "ground_fidelity",
+        "perturbed_ground_state",
+    ),
+}
+
+
+def test_cli_and_numpy_free_commands_load_no_numpy():
+    lines = _fresh(
+        "import contextlib, io, sys\n"
+        "import sidephase.cli\n"
+        f"print({HEAVY_LOADED})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        sidephase.cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        f"print({HEAVY_LOADED})\n"
+        f"for argv in {NUMPY_FREE_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = sidephase.cli.main(argv)\n"
+        f"    print(code, {HEAVY_LOADED})\n"
+    )
+    assert lines == ["[]", "[]"] + ["0 []"] * len(NUMPY_FREE_COMMANDS)
+
+
+def test_every_exported_name_resolves_to_its_module():
+    lines = _fresh(
+        "import importlib, sys\n"
+        "import sidephase\n"
+        f"print({HEAVY_LOADED})\n"
+        f"exports = {EXPORTS!r}\n"
+        "for module, names in exports.items():\n"
+        "    print(module, getattr(sidephase, module) is sys.modules['sidephase.' + module])\n"
+        "    for name in names:\n"
+        "        value = getattr(sidephase, name)\n"
+        "        print(name, value is getattr(sys.modules['sidephase.' + module], name))\n"
+        "print(sidephase.__version__)\n"
+    )
+    expected = ["[]"]
+    for module, names in EXPORTS.items():
+        expected.append(f"{module} True")
+        expected += [f"{name} True" for name in names]
+    assert lines == expected + [sidephase.__version__]
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    assert not hasattr(sidephase, "no_such_name")
+
+
+def _numpy_command_argv(tmp_path):
+    """(label, argv) of each numpy-using command, files under tmp_path."""
+    config = tmp_path / "channels.ini"
+    cases = []
+    for scale in ("lin", "log"):
+        for fmt in ("csv", "json"):
+            cases.append((f"sweep-{scale}-{fmt}", [
+                "sweep", "--channel", "nuclear", "--param", "t_parallel_imp",
+                "--grid", f"1:1e5:4:{scale}", "--config", str(config),
+                "--out", str(tmp_path / f"sweep.{fmt}"), "--format", fmt,
+            ]))
+    for kind in ("hyperfine", "phonon", "paramagnetic", "nuclear"):
+        cases.append((f"profile-{kind}", [
+            "channel", kind, "--config", str(config), "--t-max", "4e-3",
+            "--t-points", "101", "--profile-out", str(tmp_path / "profile.csv"),
+        ]))
+    mc = [
+        "montecarlo", "--variance", "3000", "--tau-c", "1e-3", "--t-max", "0.01",
+        "--n-trajectories", "200", "--grid-points", "8", "--seed", "11",
+        "--out", str(tmp_path / "mc.csv"), "--summary-out", str(tmp_path / "mc.json"),
+    ]
+    cases.append(("montecarlo", mc + ["--n-steps", "400"]))
+    cases.append(("montecarlo-rejected", mc + ["--n-steps", "10"]))
+    cases.append(("audit", ["audit", "--out", str(tmp_path / "audit.json")]))
+    return cases
+
+
+def _outputs(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("label", [label for label, _ in _numpy_command_argv(Path("."))])
+def test_numpy_commands_give_the_same_bytes_in_a_fresh_process(tmp_path, capsys, label):
+    fresh_dir, local_dir = tmp_path / "fresh", tmp_path / "local"
+    for directory in (fresh_dir, local_dir):
+        directory.mkdir()
+        (directory / "channels.ini").write_text(
+            "[hyperfine]\ntau1 = 1e4\n[nuclear]\nconcentration = 1e24\n"
+        )
+    argv = dict(_numpy_command_argv(fresh_dir))[label]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sidephase.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    code = main(dict(_numpy_command_argv(local_dir))[label])
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code == (3 if label == "montecarlo-rejected" else 0)
+    assert _outputs(fresh_dir) == _outputs(local_dir)

@@ -8,6 +8,7 @@ for bit, and the profile CSVs against digests recorded before the change.
 
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -24,7 +25,9 @@ from sidephase.dephasing import (
     ExponentialCorrelation,
     build_profile,
     coherence_envelope,
+    decoherence_time,
     gamma_exact,
+    gamma_static,
     write_profile_csv,
 )
 from sidephase.montecarlo import EnsembleCoherence, compare_to_analytic
@@ -141,6 +144,54 @@ def test_gamma_at_zero_is_zero_when_the_scale_overflows():
     assert gamma_exact(corr, 0.0) == 0.0
     assert coherence_envelope(corr, 0.0) == 1.0
     assert gamma_exact(corr, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
+OVERFLOWING_SCALE = [
+    ExponentialCorrelation(1.23e6, 1e300),
+    ExponentialCorrelation(1e300, 1e10),
+    ExponentialCorrelation(1e308, 100.0),
+]
+
+
+@pytest.mark.parametrize("corr", OVERFLOWING_SCALE, ids=repr)
+def test_overflowing_scale_gives_float_path_bits_and_no_nan(corr):
+    assert math.isinf(corr.variance * corr.tau_c * corr.tau_c)
+    times = np.concatenate(([0.0, 5e-324], np.geomspace(1e-320, 1e308, 4001), [math.inf]))
+    scalar = [gamma_exact(corr, t) for t in times.tolist()]
+    array = gamma_exact(corr, times)
+    assert np.array_equal(_bits(array), _bits(scalar))
+    assert not np.isnan(array).any()
+    assert array[-1] == math.inf
+    # Far on the quasi-static side Gamma is the static-noise value (compared
+    # where neither side is subnormal).
+    quasi = (times / corr.tau_c < 1e-13) & (array > 1e-250) & (array < 1e300)
+    static = [gamma_static(corr, t) for t in times[quasi].tolist()]
+    assert quasi.sum() > 100
+    assert np.allclose(array[quasi], static, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "kind,key", [("hyperfine", "tau1"), ("paramagnetic", "tau1_imp"), ("nuclear", "t_parallel_imp")]
+)
+def test_overflowing_correlation_time_reports_the_static_noise_time(tmp_path, capsys, kind, key):
+    config = tmp_path / "channels.ini"
+    config.write_text(f"[{kind}]\n{key} = 1e300\n")
+    profile = tmp_path / "p.csv"
+    argv = ["channel", kind, "--config", str(config), "--convention", "unit-gamma"]
+    argv += ["--profile-out", str(profile), "--t-max", "1e-3", "--t-points", "11"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    variance = report["variance_rad2_per_s2"]
+    static = decoherence_time(ExponentialCorrelation(variance, math.inf), "unit-gamma")
+    assert report["selected_decoherence_time_s"] == pytest.approx(static, rel=1e-9)
+    if kind == "hyperfine":
+        assert static == pytest.approx(1.276e-3, rel=1e-3)
+    rows = [line.split(",") for line in profile.read_text().splitlines()[1:]]
+    assert len(rows) == 11
+    for t, gamma, _ in rows:
+        assert float(gamma) == pytest.approx(0.5 * variance * float(t) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize(
