@@ -246,7 +246,8 @@ def decoherence_time(
     markovian   : (variance * tau_c)^(-1); rejected for static noise
     unit-gamma  : the t solving Gamma(t) = 1, bisected to 1e-9 relative
 
-    Zero variance returns math.inf under every convention.
+    Zero variance returns math.inf under every convention, and so does a
+    markovian rate variance * tau_c that underflows to 0.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention: {convention!r}")
@@ -257,7 +258,8 @@ def decoherence_time(
     if convention == "markovian":
         if correlation.is_static:
             raise ValueError("markovian convention is undefined for static noise")
-        return 1.0 / (correlation.variance * correlation.tau_c)
+        rate = correlation.variance * correlation.tau_c
+        return math.inf if rate == 0.0 else 1.0 / rate
     # unit-gamma: Gamma is strictly increasing and unbounded, so a bracket
     # always exists; start from the static-limit guess and expand.
     hi = correlation.variance ** -0.5

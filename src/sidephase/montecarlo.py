@@ -26,19 +26,16 @@ error.  They sample the same process independently of the exact update.
 Determinism: trajectory i draws from its own stream, row i of
 index_normals(master_seed, ...), which defines the register's stream too:
 one Philox key per run, and index i's counter starts at (0, i, 0, 0).
-Trajectories are sampled in fixed blocks of _BLOCK indices, which also
-bounds the draw buffer; each worker takes one contiguous run of blocks and
-writes its rows of preallocated arrays, and the reduction runs over those
-arrays in fixed index order.  The outcome is therefore byte-stable under
-any worker count.  The per-row counter reset and draw hold the GIL, so
-extra workers do not make a run faster.
+Trajectories are sampled in one thread, in fixed blocks of _BLOCK indices
+that bound the draw buffer; each block writes its rows of preallocated
+arrays, and the reduction runs over those arrays in fixed index order.
+The per-row counter reset and draw hold the GIL, so threads would add
+code and no speed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import NamedTuple
@@ -64,7 +61,7 @@ __all__ = [
 _MAX_SEED = 2 ** 64
 # Above 2**53 steps, grid indices are no longer exact in float arithmetic.
 _MAX_STEPS = 2 ** 53
-# Trajectories per draw buffer; a worker takes a contiguous run of blocks.
+# Trajectories per draw buffer.
 _BLOCK = 256
 # Below this x = h/tau_c, q(x) = 2 (x - 2 tanh(x/2)) loses digits to
 # cancellation (3e-12 relative at x = 0.03) and its Taylor series in
@@ -143,10 +140,10 @@ def index_normals(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     Row i - lo is the start of index i's own counter-based stream,
     Generator(Philox(key=K, counter=[0, i, 0, 0])) with the run key
     K = SeedSequence(seed).generate_state(2, np.uint64).  A draw depends
-    only on (seed, i): never on the block, the worker or the sampling
-    order.  Consecutive indices start 2**64 Philox blocks apart, so rows
-    never overlap.  One generator serves the whole block; each row only
-    resets its counter and discards the buffered words.
+    only on (seed, i): never on the block or the sampling order.
+    Consecutive indices start 2**64 Philox blocks apart, so rows never
+    overlap.  One generator serves the whole block; each row only resets
+    its counter and discards the buffered words.
     """
     bit_generator = np.random.Philox(
         key=np.random.SeedSequence(seed).generate_state(2, np.uint64)
@@ -311,10 +308,12 @@ def ensemble_coherence(
 ) -> EnsembleCoherence:
     """Sample the ensemble exactly on n_grid output times and reduce it.
 
-    Each worker fills the rows of one contiguous run of fixed blocks; the
-    reduction is a single fixed-order pass over the completed arrays, so
-    results do not depend on n_workers, which is capped at the CPU count.
+    The blocks fill their rows in one thread and the reduction is a single
+    fixed-order pass over the completed arrays.  n_workers must be at least
+    1 and changes neither the result nor the speed.
     """
+    if n_workers < 1:
+        raise ValueError("n_workers must be at least 1")
     grid_idx = _output_indices(plan.n_steps, n_grid)
     dt = plan.dt
     steps = np.diff(grid_idx, prepend=0).tolist()
@@ -323,25 +322,11 @@ def ensemble_coherence(
     n = plan.n_trajectories
     phasors = np.empty((n, n_grid), dtype=complex)
     phase_sq = np.empty((n, n_grid))
-    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-
-    def fill(run: list[tuple[int, int]]) -> None:
-        for lo, hi in run:
-            phase = _sample_phases(plan, transitions, lo, hi)
-            phasors[lo:hi] = np.exp(1j * phase)
-            phase_sq[lo:hi] = phase * phase
-
-    n_workers = min(n_workers, os.cpu_count() or 1)
-    if n_workers <= 1:
-        fill(blocks)
-    else:
-        runs = [
-            blocks[w * len(blocks) // n_workers : (w + 1) * len(blocks) // n_workers]
-            for w in range(n_workers)
-        ]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            # consume the iterator to surface worker exceptions
-            list(pool.map(fill, runs))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        phase = _sample_phases(plan, transitions, lo, hi)
+        phasors[lo:hi] = np.exp(1j * phase)
+        phase_sq[lo:hi] = phase * phase
 
     return EnsembleCoherence(
         times=grid_idx * dt,

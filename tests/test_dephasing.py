@@ -135,6 +135,10 @@ class TestDecoherenceTime:
         corr = ExponentialCorrelation(4.0, 0.5)
         assert decoherence_time(corr, "markovian") == pytest.approx(0.5, rel=1e-15)
 
+    def test_markovian_rate_underflow_is_infinite(self):
+        corr = ExponentialCorrelation(1e-200, 1e-200)
+        assert decoherence_time(corr, "markovian") == math.inf
+
     def test_markovian_rejects_static_noise(self):
         with pytest.raises(ValueError):
             decoherence_time(ExponentialCorrelation(1.0, math.inf), "markovian")

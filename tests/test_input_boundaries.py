@@ -7,7 +7,6 @@ stderr, never in a traceback or in NaN-filled output.
 import json
 import locale
 import math
-import os
 import warnings
 
 import pytest
@@ -17,7 +16,7 @@ from sidephase.cli import _write_json, main
 from sidephase.config import CHANNELS, PARAMS
 from sidephase.dephasing import ExponentialCorrelation
 from sidephase.mechanisms import NuclearImpurityChannel, ParamagneticImpurityChannel
-from sidephase.montecarlo import SimulationPlan, ensemble_coherence
+from sidephase.montecarlo import SimulationPlan
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
@@ -110,6 +109,8 @@ class TestCliExitsTwo:
             {"grid_points": "200", "n_steps": "100"},
             {"n_trajectories": "1"},
             {"mismatch_tau_c": "-1"},
+            {"workers": "0"},
+            {"workers": "-3"},
         ],
     )
     def test_montecarlo(self, tmp_path, capsys, overrides):
@@ -140,6 +141,11 @@ class TestCliExitsTwo:
     def test_non_finite_config_value(self, tmp_path, capsys, body):
         cfg = tmp_path / "ch.ini"
         cfg.write_text(body)
+        _assert_usage_error(main(["channel", "hyperfine", "--config", str(cfg)]), capsys)
+
+    def test_markovian_rate_underflow(self, tmp_path, capsys):
+        cfg = tmp_path / "ch.ini"
+        cfg.write_text("[hyperfine]\na0 = 1e-150\ntau1 = 1e-300\n")
         _assert_usage_error(main(["channel", "hyperfine", "--config", str(cfg)]), capsys)
 
     def test_plan_rejection_still_exits_3(self, tmp_path, capsys):
@@ -192,41 +198,6 @@ def test_dilute_warning_names_the_caller():
         ParamagneticImpurityChannel(concentration=1e300)
     assert len(record) == 1
     assert record[0].filename == __file__
-
-
-class _SerialPool:
-    """ThreadPoolExecutor stand-in: records max_workers, maps in order."""
-
-    seen: list = []
-
-    def __init__(self, max_workers):
-        self.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-class TestWorkersCap:
-    PLAN = SimulationPlan(ExponentialCorrelation(1.0, math.inf), 1.0, 40, 8, 0)
-
-    @pytest.mark.parametrize(
-        "cpus,requested,resolved",
-        [(3, 1000, [3]), (3, 2, [2]), (None, 1000, []), (1, 4, [])],
-    )
-    def test_resolved_worker_count(self, monkeypatch, cpus, requested, resolved):
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _SerialPool)
-        monkeypatch.setattr(_SerialPool, "seen", [])
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        result = ensemble_coherence(self.PLAN, n_grid=4, n_workers=requested)
-        assert _SerialPool.seen == resolved
-        serial = ensemble_coherence(self.PLAN, n_grid=4, n_workers=1)
-        assert result.mean_coherence.tobytes() == serial.mean_coherence.tobytes()
 
 
 class TestHugeHorizons:

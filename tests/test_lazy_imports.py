@@ -40,6 +40,19 @@ def _fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
+def test_ensemble_starts_no_thread():
+    # Three blocks of trajectories, so a pool would have work to split.
+    lines = _fresh(
+        "import sys, threading\n"
+        "from sidephase.dephasing import ExponentialCorrelation\n"
+        "from sidephase.montecarlo import SimulationPlan, ensemble_coherence\n"
+        "plan = SimulationPlan(ExponentialCorrelation(3000.0, 1e-3), 0.01, 200, 600, 7)\n"
+        "ensemble_coherence(plan, n_grid=4, n_workers=4)\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    assert lines == ["False 1"]
+
+
 def test_package_and_cli_load_no_scipy():
     lines = _fresh(
         "import sys\n"
