@@ -2,7 +2,8 @@
 
 Subcommands: constants | channel | sweep | montecarlo | audit.  Every
 number in every report comes from a library call; this module only
-parses arguments, routes, and serializes.
+parses arguments, routes, and serializes JSON.  CSV tables are written by
+dephasing.write_csv.
 
 Exit codes: 0 success, 2 usage or config error, 3 simulation plan
 rejected (the message names the smallest adequate n_steps).
@@ -11,6 +12,7 @@ rejected (the message names the smallest adequate n_steps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,6 +38,7 @@ from .dephasing import (
     check_profile,
     decoherence_time,
     gamma_exact,
+    write_csv,
     write_profile_csv,
 )
 from .mechanisms import PHONON_MODES, channel_to_correlation, phonon_rate
@@ -46,22 +49,6 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 INSIGNIFICANT_RATE = 1e-20  # 1/s; below this a rate is reported as negligible
-
-
-def _fmt(value) -> str:
-    """CSV cell: floats at 17 significant digits, flags as 0/1."""
-    # __index__ marks int, bool and numpy integers alike, without numpy.
-    if hasattr(value, "__index__"):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    """The first row's keys are the header; every row is in that order."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
 
 def _json_safe(value):
@@ -289,7 +276,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_json(args.out, rows)
     else:
-        _write_csv(args.out, rows)
+        with open(args.out, "w", newline="") as fh:
+            write_csv(fh, list(rows[0]), *zip(*(row.values() for row in rows)))
     return 0
 
 
@@ -327,18 +315,17 @@ def _montecarlo(args: argparse.Namespace) -> int:
             correlation.variance, correlation.tau_c * args.mismatch_tau_c
         )
     comparison = compare_to_analytic(result, reference)
-    rows = [
-        {
-            "t": result.times[i],
-            "re_mean": result.mean_coherence[i].real,
-            "im_mean": result.mean_coherence[i].imag,
-            "std_error": result.std_error[i],
-            "analytic_envelope": comparison.analytic_envelope[i],
-            "z": comparison.z_scores[i],
-        }
-        for i in range(len(result.times))
-    ]
-    _write_csv(args.out, rows)
+    with open(args.out, "w", newline="") as fh:
+        write_csv(
+            fh,
+            ("t", "re_mean", "im_mean", "std_error", "analytic_envelope", "z"),
+            result.times,
+            result.mean_coherence.real,
+            result.mean_coherence.imag,
+            result.std_error,
+            comparison.analytic_envelope,
+            comparison.z_scores,
+        )
     if args.summary_out:
         _write_json(
             args.summary_out,
@@ -365,7 +352,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main call and kept."""
     parser = argparse.ArgumentParser(
         prog="sidephase",
         description=(

@@ -12,8 +12,10 @@ gamma_exact, coherence_envelope and the profile writer also take float64
 arrays and give the same bits as the float path element by element:
 numpy's + - * / round exactly as Python floats do, and the libm calls
 (exp, expm1, pow) go through math, because numpy's own versions differ
-from them in the last bit.  numpy is imported where arrays are first made,
-so the float path, and the closed-form reports built on it, run without it.
+from them in the last bit.  Only a positive normal scale variance*tau_c^2
+is vectorized; other scales run the float path.  numpy is imported where
+arrays are first made, so the float path, and the closed-form reports built
+on it, run without it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "build_profile",
     "bisect_increasing",
     "check_profile",
+    "write_csv",
     "write_profile_csv",
     "CONVENTIONS",
 ]
@@ -50,9 +53,8 @@ CONVENTIONS = ("static", "markovian", "unit-gamma")
 _SERIES_SWITCH = 1e-6
 # Below this x the kernel x - 1 + exp(-x) is summed as a series.
 _KERNEL_SWITCH = 0.05
-# Profile CSV rows formatted per write; bounds the text held at once.
+# CSV rows formatted per write; bounds the text held at once.
 _CSV_CHUNK = 4096
-_CSV_ROW = "%.17g,%.17g,%.17g\n"
 
 
 @dataclass(frozen=True)
@@ -131,42 +133,36 @@ def _series_array(x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarray:
-    """gamma_exact for each element of t, branch by branch under masks."""
+    """gamma_exact for each element of t, under masks for a normal scale.
+
+    Static noise and a zero, subnormal or overflowing scale take the float path.
+    """
     import numpy as np
 
     if (t < 0.0).any():
         raise ValueError("t must be nonnegative")
     shape = t.shape
     t = np.asarray(t, dtype=np.float64).ravel()
+    scale = correlation.variance * correlation.tau_c * correlation.tau_c
+    if not sys.float_info.min <= scale < math.inf:
+        return _libm(lambda v: gamma_exact(correlation, v), t).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        if correlation.is_static:
-            out = 0.5 * correlation.variance * t * t
-        else:
-            x = t / correlation.tau_c
-            scale = correlation.variance * correlation.tau_c * correlation.tau_c
-            kernel = np.empty_like(x)
-            poly = x < _SERIES_SWITCH
-            small = x < _KERNEL_SWITCH
-            series = small & ~poly
-            closed = ~small
-            xp = x[poly]
-            kernel[poly] = (
-                xp * xp / 2.0
-                - _libm(math.pow, xp, repeat(3.0)) / 6.0
-                + _libm(math.pow, xp, repeat(4.0)) / 24.0
-            )
-            kernel[series] = _series_array(x[series])
-            xc = x[closed]
-            kernel[closed] = xc + _libm(math.expm1, -xc)
-            if scale == math.inf:
-                # The forms gamma_exact takes without the overflowing scale.
-                variance, tau_c, tp = correlation.variance, correlation.tau_c, t[poly]
-                out = variance * tau_c * (tau_c * kernel)
-                out[poly] = variance * tp * tp * (0.5 - xp / 6.0 + xp * xp / 24.0)
-            else:
-                out = scale * kernel
-    out[t == 0.0] = 0.0
-    return out.reshape(shape)
+        x = t / correlation.tau_c
+        kernel = np.empty_like(x)
+        poly = x < _SERIES_SWITCH
+        small = x < _KERNEL_SWITCH
+        series = small & ~poly
+        closed = ~small
+        xp = x[poly]
+        kernel[poly] = (
+            xp * xp / 2.0
+            - _libm(math.pow, xp, repeat(3.0)) / 6.0
+            + _libm(math.pow, xp, repeat(4.0)) / 24.0
+        )
+        kernel[series] = _series_array(x[series])
+        xc = x[closed]
+        kernel[closed] = xc + _libm(math.expm1, -xc)
+        return (scale * kernel).reshape(shape)
 
 
 def gamma_static(correlation: ExponentialCorrelation, t: float) -> float:
@@ -292,16 +288,25 @@ def check_profile(times: np.ndarray, gamma_values: np.ndarray) -> None:
         raise ValueError("gamma_values must be nonnegative")
 
 
-def write_profile_csv(stream: TextIO, times: np.ndarray, gamma_values: np.ndarray) -> None:
-    """Write t, Gamma and exp(-Gamma) at 17 significant digits, by chunks."""
+def write_csv(stream: TextIO, header: Sequence[str], *columns) -> None:
+    """Write the header, then rows of one %.17g cell per column, by chunks.
+
+    Every CSV table is written here: bools are written as 1/0, infinities as inf.
+    """
     import numpy as np
 
-    stream.write("t_seconds,gamma,envelope\n")
-    for lo in range(0, times.size, _CSV_CHUNK):
-        t = times[lo:lo + _CSV_CHUNK]
-        g = gamma_values[lo:lo + _CSV_CHUNK]
-        rows = np.column_stack((t, g, _libm(math.exp, -g)))
-        stream.write(_CSV_ROW * t.size % tuple(rows.ravel().tolist()))
+    stream.write(",".join(header) + "\n")
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        cells = np.column_stack([column[lo:lo + _CSV_CHUNK] for column in columns])
+        stream.write(row * len(cells) % tuple(cells.ravel().tolist()))
+
+
+def write_profile_csv(stream: TextIO, times: np.ndarray, gamma_values: np.ndarray) -> None:
+    """Write t, Gamma and exp(-Gamma) as in write_csv."""
+    header = ("t_seconds", "gamma", "envelope")
+    write_csv(stream, header, times, gamma_values, _libm(math.exp, -gamma_values))
 
 
 @dataclass(frozen=True, eq=False)

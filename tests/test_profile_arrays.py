@@ -77,6 +77,8 @@ CORRELATIONS = [
     ExponentialCorrelation(0.0, 2.0),
     ExponentialCorrelation(1e300, 1e10),
     ExponentialCorrelation(2.0, math.inf),
+    ExponentialCorrelation(1e-300, 1e-5),  # scale 1e-310, subnormal
+    ExponentialCorrelation(1.23e6, 1e-300),  # scale 0
 ]
 
 
