@@ -259,6 +259,7 @@ def _sweep_row(spec: SweepSpec, value: float) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_outputs(args, "out")
     fixed: dict[str, float] = {}
     if args.config:
         fixed = read_channel_config(args.config).get(args.channel, {})

@@ -16,6 +16,12 @@ from them in the last bit.  Only a positive normal scale variance*tau_c^2
 is vectorized; other scales run the float path.  numpy is imported where
 arrays are first made, so the float path, and the closed-form reports built
 on it, run without it.
+
+The unit-gamma time solves Gamma(t) = 1, whose root has a closed form
+through the Lambert W function (Corless et al., Adv. Comput. Math. 5, 329
+(1996)).  decoherence_time finds it by Newton's method, then replays its
+1e-9 bisection against it: the bisection's bits, with Gamma evaluated only
+where rounding could decide a step.
 """
 
 from __future__ import annotations
@@ -53,6 +59,15 @@ CONVENTIONS = ("static", "markovian", "unit-gamma")
 _SERIES_SWITCH = 1e-6
 # Below this x the kernel x - 1 + exp(-x) is summed as a series.
 _KERNEL_SWITCH = 0.05
+# The unit-gamma Newton run stops once a step moves x by at most this
+# (relative), and gives up after this many steps.  Near x = 0.05 the
+# kernel's rounding alone moves steps by ~2e-15, so a tighter stop could
+# cycle; the step after one this small leaves the root good to ~1e-15.
+_NEWTON_RTOL = 1e-13
+_NEWTON_STEPS = 40
+# Within this relative distance of the Newton root the bisection evaluates
+# Gamma; farther out its rounding (~1e-15) cannot flip the sign of Gamma - 1.
+_ROOT_BAND = 1e-11
 # CSV rows formatted per write; bounds the text held at once.
 _CSV_CHUNK = 4096
 
@@ -244,6 +259,16 @@ def decoherence_time(
 
     Zero variance returns math.inf under every convention, and so does a
     markovian rate variance * tau_c that underflows to 0.
+
+    unit-gamma returns the 1e-9 bisection's result: t doubled from
+    variance^(-1/2) until Gamma(t) >= 1, then bisect_increasing on [0, t]
+    with rtol 1e-9.  Where a Newton root of Gamma = 1 is found first (a
+    positive normal variance and, unless the noise is static, scale
+    variance tau_c^2), the same doubling and bisection take each step's
+    sign from t - root and evaluate Gamma only within 1e-11 relative of
+    the root, where its rounding could decide the step.  The steps, and so
+    the result, are the same; Gamma is evaluated about twice in ten solves
+    instead of ~35 times per solve.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention: {convention!r}")
@@ -258,12 +283,55 @@ def decoherence_time(
         return math.inf if rate == 0.0 else 1.0 / rate
     # unit-gamma: Gamma is strictly increasing and unbounded, so a bracket
     # always exists; start from the static-limit guess and expand.
+    root = _unit_gamma_root(correlation)
+    if root is None:
+        def excess(t: float) -> float:
+            return gamma_exact(correlation, t) - 1.0
+    else:
+        band = _ROOT_BAND * root
+
+        def excess(t: float) -> float:
+            # Farther from the root than Gamma's rounding can move it, the
+            # sign of Gamma(t) - 1 is the sign of t - root.
+            if abs(t - root) > band:
+                return t - root
+            return gamma_exact(correlation, t) - 1.0
     hi = correlation.variance ** -0.5
-    while gamma_exact(correlation, hi) < 1.0:
+    while excess(hi) < 0.0:
         hi *= 2.0
-    return bisect_increasing(
-        lambda t: gamma_exact(correlation, t) - 1.0, 0.0, hi, rtol=1e-9
-    )
+    return bisect_increasing(excess, 0.0, hi, rtol=1e-9)
+
+
+def _unit_gamma_root(correlation: ExponentialCorrelation) -> float | None:
+    """The t solving Gamma(t) = 1 to about 1e-15 relative, or None.
+
+    Static noise has the root sqrt(2/variance).  Otherwise Newton solves
+    log kernel(x) = -log(variance tau_c^2) in log x, where x = t/tau_c.
+    log kernel is concave in log x, so the steps climb monotonically from
+    the lower bound x = sqrt(2/(variance tau_c^2)), from kernel(x) <= x^2/2.
+    None (plain bisection) for a variance or, unless the noise is static,
+    a scale variance tau_c^2 that is not a positive normal float, and
+    for a Newton run that does not settle.
+    """
+    variance = correlation.variance
+    if variance < sys.float_info.min:
+        return None
+    if correlation.is_static:
+        return math.sqrt(2.0 / variance)
+    tau_c = correlation.tau_c
+    scale = variance * tau_c * tau_c
+    if not sys.float_info.min <= scale < math.inf:
+        return None
+    x = math.sqrt(2.0 / scale)
+    for _ in range(_NEWTON_STEPS):
+        kernel = _gamma_kernel(x)
+        slope = x * -math.expm1(-x) / kernel
+        step = x * (scale * kernel) ** (-1.0 / slope) - x
+        x += step
+        if abs(step) <= _NEWTON_RTOL * x:
+            root = x * tau_c
+            return root if math.isfinite(root) else None
+    return None
 
 
 def check_profile(times: np.ndarray, gamma_values: np.ndarray) -> None:

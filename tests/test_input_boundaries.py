@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from sidephase import montecarlo
+from sidephase import cli, montecarlo
 from sidephase.cli import _write_json, main
 from sidephase.config import CHANNELS, PARAMS
 from sidephase.dephasing import ExponentialCorrelation
@@ -434,3 +434,23 @@ def test_unwritable_output_writes_nothing(tmp_path, capsys, command, good, bad, 
     assert sorted(p.name for p in outputs.iterdir()) == (
         ["taken"] if where == "directory" else []
     )
+
+
+@pytest.mark.parametrize(
+    "where,message",
+    [("directory", " is a directory"), ("missing_parent", ": no such directory ")],
+)
+def test_sweep_checks_out_before_computing(tmp_path, capsys, monkeypatch, where, message):
+    def refuse(kind, params):
+        raise AssertionError("sweep built a channel before checking --out")
+
+    monkeypatch.setattr(cli, "build_channel", refuse)
+    if where == "directory":
+        target = tmp_path / "taken"
+        target.mkdir()
+    else:
+        target = tmp_path / "absent" / "x.csv"
+    argv = ["sweep", "--channel", "phonon", "--param", "temperature",
+            "--grid", "0.05:10:48:log", "--out", str(target)]
+    line = _assert_usage_error(main(argv), capsys)
+    assert line.startswith(f"error: --out {target}{message}")
