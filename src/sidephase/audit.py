@@ -27,6 +27,7 @@ from .constants import (
 )
 from .dephasing import decoherence_time
 from .mechanisms import (
+    CUTOFF_VOLUME,
     HyperfineElectronChannel,
     ParamagneticImpurityChannel,
     PhononRamanChannel,
@@ -146,14 +147,13 @@ def build_audit() -> list[AuditEntry]:
     # Dipolar variance per (concentration * cutoff volume), before thermal
     # suppression; the published number appears to have a flipped decade
     # exponent, which the ratio exposes.
-    cutoff = SILICON.min_distance
     paramagnetic_ref = ParamagneticImpurityChannel(
         concentration=1.0,
         field=_REFERENCE_FIELD,
         temperature=_REFERENCE_TEMPERATURE,
     )
     per_site_fraction = paramagnetic_variance(paramagnetic_ref) / (
-        spin_half_variance(paramagnetic_ref.x) * cutoff ** 3
+        spin_half_variance(paramagnetic_ref.x) * CUTOFF_VOLUME
     )
     entries.append(
         _entry(

@@ -12,6 +12,7 @@ rejected (the message names the smallest adequate n_steps).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -90,6 +91,11 @@ def _check_outputs(args: argparse.Namespace, *options: str) -> None:
             raise UsageError(f"{flag} {path}: no such directory {parent}")
 
 
+def _config_section(path: str | None, kind: str) -> dict[str, float]:
+    """The --config file's parameters for kind; none without a file."""
+    return read_channel_config(path).get(kind, {}) if path else {}
+
+
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
@@ -102,36 +108,28 @@ def _resolve_seed(flag_value: int | None) -> int:
     return 0
 
 
+def _registry_block(record) -> dict:
+    """A registry record's numbers, as {value, unit} where its field has a unit."""
+    return {
+        f.name: (
+            {"value": getattr(record, f.name), "unit": f.metadata["unit"]}
+            if "unit" in f.metadata
+            else getattr(record, f.name)
+        )
+        for f in dataclasses.fields(record)
+        if f.name != "name"  # a species is listed under its name
+    }
+
+
 def _constants_payload() -> dict:
-    c = const.CONSTANTS
-    payload = {
-        "physical_constants": {
-            "hbar": {"value": c.hbar, "unit": "J s"},
-            "k_boltzmann": {"value": c.k_boltzmann, "unit": "J/K"},
-            "mu0_over_4pi": {"value": c.mu0_over_4pi, "unit": "T^2 m^3/J"},
-        },
+    return {
+        "physical_constants": _registry_block(const.CONSTANTS),
         "spin_species": {
-            name: {
-                "gamma": {"value": s.gamma, "unit": "rad/s/T"},
-                "spin": s.spin,
-            }
-            for name, s in const.SPECIES.items()
+            name: _registry_block(species) for name, species in const.SPECIES.items()
         },
-        "silicon": {
-            "debye_temperature": {"value": const.SILICON.debye_temperature, "unit": "K"},
-            "lattice_constant": {"value": const.SILICON.lattice_constant, "unit": "m"},
-            "sound_velocity": {"value": const.SILICON.sound_velocity, "unit": "m/s"},
-            "atom_mass": {"value": const.SILICON.atom_mass, "unit": "J s^2/m^2"},
-            "hyperfine_constant": {
-                "value": const.SILICON.hyperfine_constant,
-                "unit": "rad/s",
-            },
-            "site_density": {"value": const.SILICON.site_density, "unit": "1/m^3"},
-            "xi": {"value": const.SILICON.xi, "unit": "dimensionless"},
-        },
+        "silicon": _registry_block(const.SILICON),
         "natural_si29_abundance_percent": const.NATURAL_SI29_ABUNDANCE_PERCENT,
     }
-    return payload
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
@@ -183,17 +181,25 @@ def _report(kind: str, channel, convention: str) -> dict:
 
 
 def _profile_for(
-    channel, kind: str, t_max: float, t_points: int
+    report: dict, t_max: float, t_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Times and Gamma(t) on the --profile-out grid, checked before writing."""
+    """Times and Gamma(t) on the --profile-out grid, checked before writing.
+
+    Built from the report's rate or correlation, so the phonon channel's
+    Debye quadrature runs once.
+    """
     import numpy as np
 
+    kind = report["channel"]
     times = np.linspace(0.0, t_max, t_points)
     if kind == "phonon":
         with np.errstate(over="ignore", invalid="ignore"):
-            gamma_values = phonon_rate(channel, "exact-integral") * times
+            gamma_values = report["rates_per_s"]["exact-integral"] * times
     else:
-        gamma_values = gamma_exact(channel_to_correlation(channel), times)
+        correlation = ExponentialCorrelation(
+            report["variance_rad2_per_s2"], report["correlation_time_s"]
+        )
+        gamma_values = gamma_exact(correlation, times)
     if not np.isfinite(gamma_values).all():
         raise UsageError(
             f"{kind} channel: Gamma(t) is not finite up to "
@@ -211,13 +217,10 @@ def cmd_channel(args: argparse.Namespace) -> int:
         raise UsageError("--t-max must be positive and finite")
     if args.t_points < 2:
         raise UsageError("--t-points must be at least 2")
-    params: dict[str, float] = {}
-    if args.config:
-        params = read_channel_config(args.config).get(args.kind, {})
-    channel = build_channel(args.kind, params)
+    channel = build_channel(args.kind, _config_section(args.config, args.kind))
     report = _channel_report(args.kind, channel, args.convention)
     if args.profile_out:
-        profile = _profile_for(channel, args.kind, args.t_max, args.t_points)
+        profile = _profile_for(report, args.t_max, args.t_points)
     _write_json(args.out, report)
     if args.profile_out:
         with open(args.profile_out, "w", newline="") as fh:
@@ -260,9 +263,7 @@ def _sweep_row(spec: SweepSpec, value: float) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_outputs(args, "out")
-    fixed: dict[str, float] = {}
-    if args.config:
-        fixed = read_channel_config(args.config).get(args.channel, {})
+    fixed = _config_section(args.config, args.channel)
     lo, hi, count, scale = parse_grid(args.grid)
     spec = SweepSpec(
         kind=args.channel,

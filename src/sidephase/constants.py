@@ -3,12 +3,16 @@
 Everything downstream computes in SI (m, s, K, T, J, angular frequencies in
 rad/s).  Published source values quoted in mixed CGS units are converted once
 here, so no formula elsewhere carries stray powers of ten.
+
+Each registry field that has a unit carries it in its field metadata
+(`_si`); `sidephase constants` prints those units, so they are written
+nowhere else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 __all__ = [
     "PhysicalConstants",
@@ -31,23 +35,31 @@ __all__ = [
 NATURAL_SI29_ABUNDANCE_PERCENT = 4.7
 
 
+def _si(unit: str, default=MISSING):
+    """A dataclass field whose metadata holds its SI unit."""
+    return field(default=default, metadata={"unit": unit})
+
+
+def _require_positive(record) -> None:
+    """Reject a registry record with a field that is not positive."""
+    for f in fields(record):
+        if getattr(record, f.name) <= 0.0:
+            raise ValueError(f"{f.name} must be positive")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Fundamental constants, fixed at the rounded values the estimates use.
 
-    hbar : J s (per rad)
-    k_boltzmann : J/K
-    mu0_over_4pi : T^2 m^3 / J
+    hbar is per radian, matching angular frequencies in rad/s.
     """
 
-    hbar: float = 1.05e-34
-    k_boltzmann: float = 1.38e-23
-    mu0_over_4pi: float = 1e-7
+    hbar: float = _si("J s", default=1.05e-34)
+    k_boltzmann: float = _si("J/K", default=1.38e-23)
+    mu0_over_4pi: float = _si("T^2 m^3/J", default=1e-7)
 
     def __post_init__(self) -> None:
-        for name in ("hbar", "k_boltzmann", "mu0_over_4pi"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(self)
 
     @property
     def mu0_cgs(self) -> float:
@@ -59,12 +71,12 @@ class PhysicalConstants:
 class SpinSpecies:
     """A spin-1/2 species with its gyromagnetic ratio.
 
-    gamma is signed, in rad/s/T.  Every variance formula squares it and every
+    gamma is signed.  Every variance formula squares it and every
     threshold uses |gamma|, so the sign is carried only for documentation.
     """
 
     name: str
-    gamma: float
+    gamma: float = _si("rad/s/T")
     spin: float = 0.5
 
     def __post_init__(self) -> None:
@@ -78,36 +90,23 @@ class SpinSpecies:
 class MaterialParams:
     """Host-lattice parameters.
 
-    debye_temperature : K
-    lattice_constant : m (cubic cell edge)
-    sound_velocity : m/s
-    atom_mass : J s^2/m^2 (i.e. kg)
-    hyperfine_constant : rad/s (contact coupling A0)
-    site_density : 1/m^3 (atoms per volume, quoted independently of the
-        lattice constant; the two disagree, see the audit)
-    xi : dimensionless phonon-coupling factor, worst case 1
+    lattice_constant is the cubic cell edge, atom_mass is in kg written as
+    J s^2/m^2, hyperfine_constant is the contact coupling A0, site_density
+    (atoms per volume) is quoted independently of the lattice constant (the
+    two disagree, see the audit), and xi is the phonon-coupling factor,
+    worst case 1.
     """
 
-    debye_temperature: float
-    lattice_constant: float
-    sound_velocity: float
-    atom_mass: float
-    hyperfine_constant: float
-    site_density: float
-    xi: float = 1.0
+    debye_temperature: float = _si("K")
+    lattice_constant: float = _si("m")
+    sound_velocity: float = _si("m/s")
+    atom_mass: float = _si("J s^2/m^2")
+    hyperfine_constant: float = _si("rad/s")
+    site_density: float = _si("1/m^3")
+    xi: float = _si("dimensionless", default=1.0)
 
     def __post_init__(self) -> None:
-        for name in (
-            "debye_temperature",
-            "lattice_constant",
-            "sound_velocity",
-            "atom_mass",
-            "hyperfine_constant",
-            "site_density",
-            "xi",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(self)
 
     @classmethod
     def from_cgs(

@@ -13,7 +13,8 @@ arrays and give the same bits as the float path element by element:
 numpy's + - * / round exactly as Python floats do, and the libm calls
 (exp, expm1, pow) go through math, because numpy's own versions differ
 from them in the last bit.  Only a positive normal scale variance*tau_c^2
-is vectorized; other scales run the float path.  numpy is imported where
+is vectorized; other scales run the float path.  Both paths sum the
+kernel's small-x series in one function, _series.  numpy is imported where
 arrays are first made, so the float path, and the closed-form reports built
 on it, run without it.
 
@@ -44,6 +45,7 @@ __all__ = [
     "decoherence_time",
     "build_profile",
     "bisect_increasing",
+    "bisect_from",
     "check_profile",
     "write_csv",
     "write_profile_csv",
@@ -94,23 +96,39 @@ class ExponentialCorrelation:
         return math.isinf(self.tau_c)
 
 
-def _gamma_kernel(x: float) -> float:
+def _gamma_kernel(x):
     """x - 1 + exp(-x), accurate to ~1e-15 relative for all x >= 0.
 
-    Plain x + expm1(-x) keeps only ~x/eps digits once x is small; below
-    0.05 the alternating series sum_{n>=2} (-x)^n/n! is summed instead.
+    Plain x + expm1(-x) keeps only ~x/eps digits once x is small: below
+    1e-6 the quartic is used, and below 0.05 the series of _series.
     """
+    if x < _SERIES_SWITCH:
+        return x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0
     if x < _KERNEL_SWITCH:
-        term = 0.5 * x * x
-        total = term
-        n = 2
-        while True:
-            n += 1
-            term *= -x / n
-            total += term
-            if abs(term) <= 1e-17 * abs(total):
-                return total
+        return _series(x)
     return x + math.expm1(-x)
+
+
+def _series(x):
+    """sum_{n>=2} (-x)^n/n! for 0 <= x < 0.05, a float or an array.
+
+    Terms n = 2..11 are summed with no convergence test.  A stop at the
+    first term within 1e-17 of the total gives the same bits: such a term,
+    and every smaller one after it, is under half an ulp of the total and
+    leaves the rounded sum unchanged; and at x < 0.05 term 11 is already
+    below 1e-19 of the total, so every x reaches that stop by n = 11.
+    """
+    term = 0.5 * x * x
+    total = term
+    for n in range(3, 12):
+        term = term * (-x / n)
+        total = total + term
+    return total
+
+
+def _is_normal(value: float) -> bool:
+    """Whether value is a positive normal float."""
+    return sys.float_info.min <= value < math.inf
 
 
 def _is_array(value) -> bool:
@@ -127,26 +145,6 @@ def _libm(func, values: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(flat, np.float64, values.size).reshape(values.shape)
 
 
-def _series_array(x: np.ndarray) -> np.ndarray:
-    """_gamma_kernel's series for each x; each element stops at its own term."""
-    import numpy as np
-
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    term = 0.5 * x * x
-    total = term.copy()
-    n = 2
-    while idx.size:
-        n += 1
-        term *= -x / n
-        total += term
-        done = np.abs(term) <= 1e-17 * np.abs(total)
-        out[idx[done]] = total[done]
-        keep = ~done
-        idx, x, term, total = idx[keep], x[keep], term[keep], total[keep]
-    return out
-
-
 def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarray:
     """gamma_exact for each element of t, under masks for a normal scale.
 
@@ -159,7 +157,7 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
     shape = t.shape
     t = np.asarray(t, dtype=np.float64).ravel()
     scale = correlation.variance * correlation.tau_c * correlation.tau_c
-    if not sys.float_info.min <= scale < math.inf:
+    if not _is_normal(scale):
         return _libm(lambda v: gamma_exact(correlation, v), t).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         x = t / correlation.tau_c
@@ -174,7 +172,7 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
             - _libm(math.pow, xp, repeat(3.0)) / 6.0
             + _libm(math.pow, xp, repeat(4.0)) / 24.0
         )
-        kernel[series] = _series_array(x[series])
+        kernel[series] = _series(x[series])
         xc = x[closed]
         kernel[closed] = xc + _libm(math.expm1, -xc)
         return (scale * kernel).reshape(shape)
@@ -205,18 +203,14 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
         raise ValueError("t must be nonnegative")
     if correlation.is_static:
         return gamma_static(correlation, t)
-    x = t / correlation.tau_c
-    scale = correlation.variance * correlation.tau_c * correlation.tau_c
+    tau_c = correlation.tau_c
+    x = t / tau_c
+    scale = correlation.variance * tau_c * tau_c
+    if scale < math.inf:
+        return scale * _gamma_kernel(x)
     if x < _SERIES_SWITCH:
-        if t == 0.0:
-            return 0.0
-        if scale == math.inf:
-            return correlation.variance * t * t * (0.5 - x / 6.0 + x * x / 24.0)
-        return scale * (x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0)
-    if scale == math.inf:
-        tau_c = correlation.tau_c
-        return correlation.variance * tau_c * (tau_c * _gamma_kernel(x))
-    return scale * _gamma_kernel(x)
+        return correlation.variance * t * t * (0.5 - x / 6.0 + x * x / 24.0)
+    return correlation.variance * tau_c * (tau_c * _gamma_kernel(x))
 
 
 def coherence_envelope(correlation: ExponentialCorrelation, t):
@@ -247,6 +241,18 @@ def bisect_increasing(func, lo: float, hi: float, rtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def bisect_from(func, start: float, rtol: float) -> float:
+    """Root of an increasing func on [0, inf) with func(0) <= 0.
+
+    start is doubled until func >= 0 there (a NaN also stops it), and
+    bisect_increasing runs on [0, that point].
+    """
+    hi = start
+    while func(hi) < 0.0:
+        hi *= 2.0
+    return bisect_increasing(func, 0.0, hi, rtol)
+
+
 def decoherence_time(
     correlation: ExponentialCorrelation,
     convention: str = "static",
@@ -260,9 +266,8 @@ def decoherence_time(
     Zero variance returns math.inf under every convention, and so does a
     markovian rate variance * tau_c that underflows to 0.
 
-    unit-gamma returns the 1e-9 bisection's result: t doubled from
-    variance^(-1/2) until Gamma(t) >= 1, then bisect_increasing on [0, t]
-    with rtol 1e-9.  Where a Newton root of Gamma = 1 is found first (a
+    unit-gamma returns the 1e-9 bisection's result: bisect_from on
+    Gamma(t) - 1 from t = variance^(-1/2) with rtol 1e-9.  Where a Newton root of Gamma = 1 is found first (a
     positive normal variance and, unless the noise is static, scale
     variance tau_c^2), the same doubling and bisection take each step's
     sign from t - root and evaluate Gamma only within 1e-11 relative of
@@ -296,10 +301,7 @@ def decoherence_time(
             if abs(t - root) > band:
                 return t - root
             return gamma_exact(correlation, t) - 1.0
-    hi = correlation.variance ** -0.5
-    while excess(hi) < 0.0:
-        hi *= 2.0
-    return bisect_increasing(excess, 0.0, hi, rtol=1e-9)
+    return bisect_from(excess, correlation.variance ** -0.5, rtol=1e-9)
 
 
 def _unit_gamma_root(correlation: ExponentialCorrelation) -> float | None:
@@ -314,13 +316,13 @@ def _unit_gamma_root(correlation: ExponentialCorrelation) -> float | None:
     for a Newton run that does not settle.
     """
     variance = correlation.variance
-    if variance < sys.float_info.min:
+    if not _is_normal(variance):
         return None
     if correlation.is_static:
         return math.sqrt(2.0 / variance)
     tau_c = correlation.tau_c
     scale = variance * tau_c * tau_c
-    if not sys.float_info.min <= scale < math.inf:
+    if not _is_normal(scale):
         return None
     x = math.sqrt(2.0 / scale)
     for _ in range(_NEWTON_STEPS):

@@ -16,7 +16,9 @@ Dilute dipolar variances follow the concentration x single-site second
 moment form: the angular average of (1 - 3 cos^2 theta)^2 over the sphere
 is 4/5, the radial integral of r^-6 from the cutoff a is 1/(3 a^3), and
 their product with the full solid angle gives 16 pi / (15 a^3).  The
-cutoff a is the per-site distance, a^3 = 1/site_density.
+cutoff a is the per-site distance, a^3 = 1/site_density.  Both channels
+and the dilute-expansion check read the cutoff volume a^3 and that factor
+from CUTOFF_VOLUME and DIPOLAR_GEOMETRY.
 
 A channel holds only its own parameters (its config keys).  The
 gyromagnetic ratios, the cutoff and the silicon material parameters are
@@ -39,7 +41,7 @@ from .constants import (
     boltzmann_ratio,
     spin_half_variance,
 )
-from .dephasing import ExponentialCorrelation, bisect_increasing
+from .dephasing import ExponentialCorrelation, bisect_from
 
 __all__ = [
     "HyperfineElectronChannel",
@@ -58,7 +60,13 @@ __all__ = [
     "max_paramagnetic_concentration",
     "max_nuclear_impurity_concentration",
     "channel_to_correlation",
+    "CUTOFF_VOLUME",
+    "DIPOLAR_GEOMETRY",
 ]
+
+# a^3 in m^3, and 16 pi / (15 a^3) in 1/m^3.
+CUTOFF_VOLUME = SILICON.min_distance ** 3
+DIPOLAR_GEOMETRY = 16.0 * math.pi / (15.0 * CUTOFF_VOLUME)
 
 
 class UnsupportedChannelError(TypeError):
@@ -143,11 +151,13 @@ class PhononRamanChannel:
 
 
 def _debye_integrand(x: float) -> float:
-    # x^6 e^x / (e^x - 1)^2, written to survive both underflow ends.
+    # x^6 e^x / (e^x - 1)^2, written to survive both underflow ends.  Where
+    # e^-x underflows to 0 the tail is 0, even where x^6 would overflow.
     if x < 1e-3:
         return x ** 4 * (1.0 - x * x / 12.0 + x ** 4 / 240.0)
     if x > 705.0:
-        return x ** 6 * math.exp(-x)
+        tail = math.exp(-x)
+        return x ** 6 * tail if tail else 0.0
     return x ** 6 * math.exp(-x) / math.expm1(-x) ** 2
 
 
@@ -211,7 +221,7 @@ def _check_impurity(channel) -> None:
         raise ValueError("concentration must be nonnegative")
     if channel.field < 0.0:
         raise ValueError("field must be nonnegative")
-    if channel.concentration * SILICON.min_distance ** 3 >= 1.0:
+    if channel.concentration * CUTOFF_VOLUME >= 1.0:
         warnings.warn(
             "concentration times cutoff volume >= 1; the dilute "
             "expansion is unreliable",
@@ -253,8 +263,7 @@ def _dipolar_prefactor(gamma_a: float, gamma_b: float) -> float:
 def paramagnetic_variance(channel: ParamagneticImpurityChannel) -> float:
     """C ((mu0/4pi) gamma_i gamma_s hbar)^2 (16 pi/(15 a^3)) shv(x)."""
     coupling = _dipolar_prefactor(PHOSPHORUS_31.gamma, ELECTRON.gamma)
-    geometry = 16.0 * math.pi / (15.0 * SILICON.min_distance ** 3)
-    return channel.concentration * coupling * geometry * spin_half_variance(channel.x)
+    return channel.concentration * coupling * DIPOLAR_GEOMETRY * spin_half_variance(channel.x)
 
 
 @dataclass(frozen=True)
@@ -291,9 +300,9 @@ class NuclearImpurityChannel:
 def nuclear_impurity_variance(channel: NuclearImpurityChannel) -> float:
     """C ((mu0/4pi) gamma_i gamma_imp hbar)^2 (4 pi/(15 a^3)) (1-tanh^2 x)."""
     coupling = _dipolar_prefactor(PHOSPHORUS_31.gamma, SILICON_29.gamma)
-    geometry = 4.0 * math.pi / (15.0 * SILICON.min_distance ** 3)
     thermal = 1.0 - math.tanh(channel.polarization_x) ** 2
-    return channel.concentration * coupling * geometry * thermal
+    # 4 pi/(15 a^3) exactly: scaling by a power of two does not round.
+    return channel.concentration * coupling * (0.25 * DIPOLAR_GEOMETRY) * thermal
 
 
 def required_field_temperature_ratio(a0: float, target_dephasing_time: float) -> float:
@@ -314,10 +323,7 @@ def required_field_temperature_ratio(a0: float, target_dephasing_time: float) ->
     def excess(x: float) -> float:
         return target_variance - a0 ** 2 * spin_half_variance(x)
 
-    hi = 1.0
-    while excess(hi) < 0.0:
-        hi *= 2.0
-    x_star = bisect_increasing(excess, 0.0, hi, rtol=1e-6)
+    x_star = bisect_from(excess, 1.0, rtol=1e-6)
     return x_star / boltzmann_ratio(ELECTRON.gamma, 1.0, 1.0)
 
 

@@ -71,19 +71,19 @@ class DensityMatrix:
         return ((self.rho00, self.rho01), (self.rho10, self.rho11))
 
 
+def _with_coherence(state: BlochState, rho01: complex) -> DensityMatrix:
+    """The state's populations (1 +- pz)/2 with off-diagonal rho01."""
+    rho00, rho11 = limiting_populations(state)
+    return DensityMatrix(complex(rho00), rho01, rho01.conjugate(), complex(rho11))
+
+
 def density_from_bloch(state: BlochState, phase: float = 0.0) -> DensityMatrix:
     """Density matrix for polarization (px, py, pz) with precession phase.
 
     Off-diagonals are (px -+ i py)/2 rotated by exp(+-i phase).
     """
     p_minus = complex(state.px, -state.py)
-    rho01 = 0.5 * p_minus * cmath.exp(1j * phase)
-    return DensityMatrix(
-        rho00=complex(0.5 * (1.0 + state.pz)),
-        rho01=rho01,
-        rho10=rho01.conjugate(),
-        rho11=complex(0.5 * (1.0 - state.pz)),
-    )
+    return _with_coherence(state, 0.5 * p_minus * cmath.exp(1j * phase))
 
 
 def apply_dephasing(state: BlochState, gamma: float) -> DensityMatrix:
@@ -91,13 +91,7 @@ def apply_dephasing(state: BlochState, gamma: float) -> DensityMatrix:
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
     damp = math.exp(-gamma)
-    rho01 = 0.5 * complex(state.px, -state.py) * damp
-    return DensityMatrix(
-        rho00=complex(0.5 * (1.0 + state.pz)),
-        rho01=rho01,
-        rho10=rho01.conjugate(),
-        rho11=complex(0.5 * (1.0 - state.pz)),
-    )
+    return _with_coherence(state, 0.5 * complex(state.px, -state.py) * damp)
 
 
 def dephased_eigenvalues(state: BlochState, gamma: float) -> tuple[float, float]:

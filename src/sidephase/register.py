@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import index_normals, standard_error
+from .montecarlo import _MAX_SEED, index_normals, standard_error
 from .qubit import DensityMatrix, fidelity
 
 __all__ = [
@@ -95,7 +95,7 @@ class ErrorSampler:
     def __post_init__(self) -> None:
         if any(s < 0.0 for s in self.sigma):
             raise ValueError("sigma components must be nonnegative")
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
 
     def sample(self, index: int) -> tuple[float, float, float]:

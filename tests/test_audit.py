@@ -32,6 +32,21 @@ EXPECTED_PUBLISHED = {
     "impurity-concentration-bound": 4.5e-2,
 }
 
+# repr of every computed value: the recomputation keeps its exact floats.
+EXPECTED_COMPUTED = {
+    "polarization-ratio": "26.782608695652172",
+    "hyperfine-threshold-ratio": "30.470041547502788",
+    "hyperfine-dephasing-time": "0.0009024675130816799",
+    "phonon-rate-prefactor": "8243.39548906202",
+    "paramagnetic-prefactor-full": "333710636793311.0",
+    "paramagnetic-prefactor-suppressed": "779.5264974796003",
+    "paramagnetic-concentration-bound": "6.4141501490535875e+19",
+    "impurity-polarization-temperature": "0.0008065217391304348",
+    "impurity-concentration-bound": "3.186732537166125e-05",
+    "thermal-variance-forms": "5.456594299948233e-24",
+    "site-density-vs-lattice-cube": "6.350657928161357e+21",
+}
+
 
 class TestClassifyRatio:
     def test_match_window(self):
@@ -82,6 +97,10 @@ class TestBuildAudit:
         by_id = {e.claim_id: e for e in entries}
         for claim, value in EXPECTED_PUBLISHED.items():
             assert by_id[claim].published_value == value
+
+    def test_computed_values_pinned(self, entries):
+        computed = {e.claim_id: repr(e.computed_value) for e in entries}
+        assert computed == EXPECTED_COMPUTED
 
     def test_ratio_consistency(self, entries):
         for e in entries:

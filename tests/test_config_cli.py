@@ -113,6 +113,14 @@ class TestConstantsCommand:
         assert main(["constants", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["silicon"]["xi"]["value"] == 1.0
 
+    def test_bytes_match_golden_file(self, tmp_path, capsys):
+        golden = (DATA_DIR / "constants.json").read_text()
+        assert main(["constants"]) == 0
+        assert capsys.readouterr().out == golden
+        out = tmp_path / "c.json"
+        assert main(["constants", "--out", str(out)]) == 0
+        assert out.read_text() == golden
+
 
 class TestChannelCommand:
     def test_report_matches_library_bit_for_bit(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sidephase import dephasing
 from sidephase.dephasing import (
     DecoherenceProfile,
     ExponentialCorrelation,
@@ -124,6 +125,49 @@ class TestGammaNumerics:
         gs = np.array([gamma_exact(corr, t) for t in ts])
         second = np.diff(gs, 2)
         assert np.min(second) > -1e-12
+
+
+def series_oracle(x):
+    """Gamma's kernel with the convergent series loop, as a reference copy.
+
+    The quartic below x = 1e-6, then sum_{n>=2} (-x)^n/n! stopped at the
+    first term within 1e-17 of the total, then x + expm1(-x) from 0.05.
+    """
+    if x < 1e-6:
+        return x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0
+    if x >= 0.05:
+        return x + math.expm1(-x)
+    term = 0.5 * x * x
+    total = term
+    n = 2
+    while True:
+        n += 1
+        term *= -x / n
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return total
+
+
+class TestSeriesOracle:
+    """The kernel's series keeps the convergent loop's bits, float and array."""
+
+    xs = np.concatenate(
+        (
+            np.linspace(0.0, 0.05, 40_001)[:-1],
+            10.0 ** np.random.default_rng(14).uniform(-320.0, math.log10(0.05), 40_000),
+            [math.nextafter(0.05, 0.0), 1e-6, math.nextafter(1e-6, 0.0), 5e-324],
+        )
+    )
+
+    def test_kernel(self):
+        xs = self.xs[self.xs >= 1e-6].tolist()
+        assert [dephasing._gamma_kernel(x) for x in xs] == [series_oracle(x) for x in xs]
+
+    def test_gamma_exact_float_and_array(self):
+        corr = ExponentialCorrelation(1.7, 1.0)
+        expected = [1.7 * series_oracle(x) for x in self.xs.tolist()]
+        assert [gamma_exact(corr, x) for x in self.xs.tolist()] == expected
+        assert gamma_exact(corr, self.xs).tolist() == expected
 
 
 class TestDecoherenceTime:

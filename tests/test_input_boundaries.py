@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from sidephase import cli, montecarlo
+from sidephase import cli, mechanisms, montecarlo
 from sidephase.cli import _write_json, main
 from sidephase.config import CHANNELS, PARAMS
 from sidephase.dephasing import ExponentialCorrelation
@@ -190,6 +190,37 @@ class TestOverflowExitsTwo:
         assert capsys.readouterr().err == (
             f"error: {kind} channel: an input is too large for float arithmetic\n"
         )
+
+
+class TestColdPhonon:
+    """Theta/T beyond float range: the Debye tail is 0, not an overflow."""
+
+    def test_channel_reports_no_decoherence(self, tmp_path, capsys):
+        cfg = tmp_path / "ch.ini"
+        cfg.write_text("[phonon]\ntemperature = 1e-300\n")
+        assert main(["channel", "phonon", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["decoherence_time_s"] is None
+        assert report["flags"]["insignificant"] is True
+
+    def test_sweep_writes_infinite_times(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--channel", "phonon", "--param", "temperature"]
+        argv += ["--grid", "1e-300:1e-299:2:lin", "--out", str(out)]
+        assert main(argv) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["inf", "inf"]
+
+
+def test_phonon_profile_runs_one_quadrature(tmp_path, monkeypatch):
+    calls = []
+    integral = mechanisms.debye_integral
+    monkeypatch.setattr(
+        mechanisms, "debye_integral", lambda u: calls.append(u) or integral(u)
+    )
+    argv = ["channel", "phonon", "--t-max", "1", "--profile-out"]
+    assert main(argv + [str(tmp_path / "p.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_dilute_warning_names_the_caller():

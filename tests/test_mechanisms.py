@@ -384,9 +384,72 @@ class TestBoundsInvertVariances:
     )
     def test_nuclear(self, target, field, spin_temperature):
         bound = max_nuclear_impurity_concentration(target, field, spin_temperature)
-        ch = NuclearImpurityChannel(
-            concentration=bound.per_m3, field=field, spin_temperature=spin_temperature
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # dense bounds
+            ch = NuclearImpurityChannel(
+                concentration=bound.per_m3, field=field, spin_temperature=spin_temperature
+            )
         assert nuclear_impurity_variance(ch) * target ** 2 == pytest.approx(
             1.0, rel=1e-12
         )
+
+
+class TestDipolarPins:
+    """repr pins: the dipolar variances and bounds keep their exact floats."""
+
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            ((0.7e26, 2.0, 0.1, 1e4), "1.0913370964714446"),
+            ((1.0, 2.0, 0.1, 1e4), "1.5590529949592066e-26"),
+            ((3.3e24, 0.5, 1.7, 1.0), "5298086268.48073"),
+            ((1e27, 0.0, 0.01, 1e4), "1668553183966.5615"),
+        ],
+    )
+    def test_paramagnetic_variance(self, args, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # dense channel
+            channel = ParamagneticImpurityChannel(*args)
+        assert repr(paramagnetic_variance(channel)) == expected
+
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            ((2.25e25, 2.0, 0.8e-3, 1e4), "1412.1047020788717"),
+            ((1.0, 2.0, 0.8e-3, 1e4), "6.276020898128318e-23"),
+            ((4.1e26, 0.3, 2e-2, 1.0), "62034.662513393385"),
+            ((1e28, 0.0, 1.0, 1e4), "1513095.9109510826"),
+        ],
+    )
+    def test_nuclear_variance(self, args, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # dense channel
+            channel = NuclearImpurityChannel(*args)
+        assert repr(nuclear_impurity_variance(channel)) == expected
+
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            ((1.0, 20.0), "6.4141501490535875e+25"),
+            ((1e-3, 0.0), "5.993216216355502e+20"),
+            ((2.5, 7.3), "4.219695218780435e+17"),
+        ],
+    )
+    def test_max_paramagnetic_concentration(self, args, expected):
+        assert repr(max_paramagnetic_concentration(*args)) == expected
+
+    @pytest.mark.parametrize(
+        "args,per_m3,percent",
+        [
+            ((1.0, 2.0, 0.8e-3), "1.5933662685830563e+22", "3.186732537166125e-05"),
+            ((0.01, 0.0, 1.0), "6.6089663765691675e+25", "0.13217932753138387"),
+            ((3.0, 1.5, 1e-4), "3.2949967732592723e+25", "0.0658999354651857"),
+        ],
+    )
+    def test_max_nuclear_impurity_concentration(self, args, per_m3, percent):
+        bound = max_nuclear_impurity_concentration(*args)
+        assert (repr(bound.per_m3), repr(bound.percent_of_sites)) == (per_m3, percent)
+
+    def test_required_field_temperature_ratio(self):
+        ratio = required_field_temperature_ratio(SILICON.hyperfine_constant, 1.0)
+        assert repr(ratio) == "30.470041547502788"
