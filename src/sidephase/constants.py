@@ -186,12 +186,19 @@ def boltzmann_ratio(gamma: float, field: float, temperature: float) -> float:
     gamma : rad/s/T, sign ignored.
     field : T, must be >= 0.
     temperature : K, must be > 0.
+
+    Where k T underflows to 0 the ratio is beyond float range: inf, or 0
+    at zero field.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     if field < 0.0:
         raise ValueError("field must be nonnegative")
-    return abs(gamma) * CONSTANTS.hbar * field / (CONSTANTS.k_boltzmann * temperature)
+    zeeman = abs(gamma) * CONSTANTS.hbar * field
+    thermal = CONSTANTS.k_boltzmann * temperature
+    if thermal == 0.0:
+        return math.inf if zeeman > 0.0 else 0.0
+    return zeeman / thermal
 
 
 def spin_half_variance(x: float) -> float:

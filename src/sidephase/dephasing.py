@@ -23,10 +23,21 @@ through the Lambert W function (Corless et al., Adv. Comput. Math. 5, 329
 (1996)).  decoherence_time finds it by Newton's method, then replays its
 1e-9 bisection against it: the bisection's bits, with Gamma evaluated only
 where rounding could decide a step.
+
+write_csv writes every CSV table, each cell as '%.17g' % x.  A chunk of at
+least _CSV_KERNEL_ROWS rows gets those bytes from array arithmetic instead
+(_format_cells): each 17-digit significand round(|x| 10^(16 - e)) comes
+from Dekker's error-free product (Numer. Math. 18, 224 (1971)) with a
+double-double table of powers of ten, as fixed-precision printers such as
+Ryu printf form them with wide integers (Adams, OOPSLA 2019), and is laid
+out in fixed ASCII slots by %g's rules.  A cell whose rounding the kernel
+cannot decide exactly is formatted by '%' itself, so the bytes are those
+of '%' by construction.  The kernel's tables are built on its first call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -72,6 +83,18 @@ _NEWTON_STEPS = 40
 _ROOT_BAND = 1e-11
 # CSV rows formatted per write; bounds the text held at once.
 _CSV_CHUNK = 4096
+# Chunks of at least this many rows are formatted by _format_cells; below
+# it, building the kernel's arrays costs more than '%.17g' cell by cell.
+_CSV_KERNEL_ROWS = 256
+# Dekker's splitter 2^27 + 1, the decimal exponents _format_cells handles
+# (|x| in [1e-270, 1e270), with one step of log10 correction either way),
+# and its margin around a rounding tie, far above the ~2e-15 error of the
+# double-double tail.
+_SPLITTER = 134217729.0
+_CELL_E_MIN, _CELL_E_MAX = -272, 271
+_HALF_MARGIN = 2.0 ** -30
+# Slots per cell: sign, '0.000', 17 digits and a dot, 'e+NNN', terminator.
+_CELL_WIDTH = 30
 
 
 @dataclass(frozen=True)
@@ -189,11 +212,15 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
     """Dephasing exponent Gamma(t) for the exponential correlation.
 
     t is a float, or an array evaluated element by element with the float
-    path's bits.  Where the scale variance * tau_c^2 overflows, Gamma is
-    formed without it, and so is never NaN: below x = t/tau_c = 1e-6 (the
-    quasi-static side, where x^2 may underflow) as
-    variance t^2 (1/2 - x/6 + x^2/24), and above as
-    variance tau_c (tau_c kernel(x)).  Gamma(0) is 0.
+    path's bits.  Where the scale variance * tau_c^2 is not a positive
+    normal float, Gamma is formed without it, and so is never NaN:
+    - if it overflows and x = t/tau_c < 1e-6 (the quasi-static side, where
+      x^2 may underflow), as variance t^2 (1/2 - x/6 + x^2/24);
+    - if x overflows (tau_c far below t), as
+      (variance tau_c) (t - tau_c), the kernel's limit x - 1;
+    - otherwise as (variance tau_c) (tau_c kernel(x)), which keeps the
+      digits that a zero or subnormal scale loses.
+    Gamma(0) is 0.
     """
     # A Python float, as in the unit-gamma bisection's many calls, skips
     # the slower array test.
@@ -206,10 +233,12 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
     tau_c = correlation.tau_c
     x = t / tau_c
     scale = correlation.variance * tau_c * tau_c
-    if scale < math.inf:
+    if _is_normal(scale):
         return scale * _gamma_kernel(x)
-    if x < _SERIES_SWITCH:
+    if scale == math.inf and x < _SERIES_SWITCH:
         return correlation.variance * t * t * (0.5 - x / 6.0 + x * x / 24.0)
+    if x == math.inf:
+        return correlation.variance * tau_c * (t - tau_c)
     return correlation.variance * tau_c * (tau_c * _gamma_kernel(x))
 
 
@@ -245,11 +274,14 @@ def bisect_from(func, start: float, rtol: float) -> float:
     """Root of an increasing func on [0, inf) with func(0) <= 0.
 
     start is doubled until func >= 0 there (a NaN also stops it), and
-    bisect_increasing runs on [0, that point].
+    bisect_increasing runs on [0, that point].  A doubling that reaches inf
+    returns inf: the root is beyond float range.
     """
     hi = start
     while func(hi) < 0.0:
         hi *= 2.0
+    if hi == math.inf:
+        return math.inf
     return bisect_increasing(func, 0.0, hi, rtol)
 
 
@@ -264,7 +296,7 @@ def decoherence_time(
     unit-gamma  : the t solving Gamma(t) = 1, bisected to 1e-9 relative
 
     Zero variance returns math.inf under every convention, and so does a
-    markovian rate variance * tau_c that underflows to 0.
+    rate variance * tau_c that underflows to 0 (markovian and unit-gamma).
 
     unit-gamma returns the 1e-9 bisection's result: bisect_from on
     Gamma(t) - 1 from t = variance^(-1/2) with rtol 1e-9.  Where a Newton root of Gamma = 1 is found first (a
@@ -281,11 +313,14 @@ def decoherence_time(
         return math.inf
     if convention == "static":
         return correlation.variance ** -0.5
+    rate = correlation.variance * correlation.tau_c
     if convention == "markovian":
         if correlation.is_static:
             raise ValueError("markovian convention is undefined for static noise")
-        rate = correlation.variance * correlation.tau_c
         return math.inf if rate == 0.0 else 1.0 / rate
+    if rate == 0.0:
+        # Gamma(t) < rate t is 0 at every finite t.
+        return math.inf
     # unit-gamma: Gamma is strictly increasing and unbounded, so a bracket
     # always exists; start from the static-limit guess and expand.
     root = _unit_gamma_root(correlation)
@@ -362,6 +397,9 @@ def write_csv(stream: TextIO, header: Sequence[str], *columns) -> None:
     """Write the header, then rows of one %.17g cell per column, by chunks.
 
     Every CSV table is written here: bools are written as 1/0, infinities as inf.
+    A chunk of at least _CSV_KERNEL_ROWS rows takes its cells from
+    _format_cells, which gives the bytes of '%.17g' % x with array
+    arithmetic; a smaller chunk is formatted by '%' cell by cell.
     """
     import numpy as np
 
@@ -370,7 +408,162 @@ def write_csv(stream: TextIO, header: Sequence[str], *columns) -> None:
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     for lo in range(0, len(columns[0]), _CSV_CHUNK):
         cells = np.column_stack([column[lo:lo + _CSV_CHUNK] for column in columns])
-        stream.write(row * len(cells) % tuple(cells.ravel().tolist()))
+        if len(cells) >= _CSV_KERNEL_ROWS:
+            stream.write(_format_cells(cells))
+        else:
+            stream.write(row * len(cells) % tuple(cells.ravel().tolist()))
+
+
+@functools.cache
+def _cell_tables() -> tuple[np.ndarray, ...]:
+    """The read-only tables of _format_cells, built on its first call.
+
+    For each decimal exponent e of the kernel (index e - _CELL_E_MIN), 10^p
+    with p = 16 - e as a double-double hi + lo (hi correctly rounded, lo the
+    correctly rounded remainder), and hi's Dekker halves; the ASCII of
+    0000..9999 as one uint32 each; and the number of trailing zeros of each
+    4-digit group (4 for 0000).
+    """
+    import numpy as np
+
+    hi, lo = [], []
+    for e in range(_CELL_E_MIN, _CELL_E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        head = num / den
+        n, d = head.as_integer_ratio()
+        hi.append(head)
+        lo.append((num * d - n * den) / (den * d))
+    hi, lo = np.array(hi), np.array(lo)
+    hi_head = _SPLITTER * hi - (_SPLITTER * hi - hi)
+    group = np.arange(10000, dtype=np.int16)
+    ascii_groups = np.empty((10000, 4), np.uint8)
+    zeros = np.zeros(10000, np.int8)
+    for k in range(4):
+        ascii_groups[:, 3 - k] = group // 10 ** k % 10 + ord("0")
+        zeros += group % 10 ** (k + 1) == 0
+    tables = (hi, lo, hi_head, hi - hi_head, ascii_groups.view(np.uint32).ravel(), zeros)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _scaled(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m 10^(16 - e) rounded to an integer d, and the fraction that decided it.
+
+    Dekker's two-product (Numer. Math. 18, 224 (1971)) gives the error of
+    head = fl(m hi) exactly, and m lo adds the table's remainder, so
+    head + tail is m 10^p to within about 2e-15 once it is near 10^16 to
+    10^17.  There head is an integer (10^16 > 2^53), and d rounds the tail
+    up where its fraction is above 1/2.
+    """
+    import numpy as np
+
+    row = e - _CELL_E_MIN
+    hi, lo, hi_head, hi_tail = (table[row] for table in _cell_tables()[:4])
+    head = m * hi
+    m_head = _SPLITTER * m - (_SPLITTER * m - m)
+    m_tail = m - m_head
+    error = ((m_head * hi_head - head) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
+    tail = error + m * lo
+    whole = np.floor(tail)
+    fraction = tail - whole
+    d = head.astype(np.int64) + whole.astype(np.int64) + (fraction > 0.5)
+    return d, fraction
+
+
+def _significands(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D = round(m 10^(16 - e)) and the decimal exponent e of each m >= 0.
+
+    e comes from log10, corrected by one where D lands outside
+    [10^16, 10^17), as it can near a power of ten.  The rounding of
+    _scaled is exact wherever its fraction is not within _HALF_MARGIN of
+    1/2.  exact marks the cells where D is then the correctly rounded
+    significand with 10^16 < D < 10^17; it is False for m = 0, inf or NaN,
+    m outside [1e-270, 1e270), a near tie, and D at 10^16 or 10^17, where
+    rounding may have crossed a power of ten.  There D is 10^16 + 1, a
+    placeholder.
+    """
+    import numpy as np
+
+    exact = (m >= 1e-270) & (m < 1e270)
+    m = np.where(exact, m, 1.0)
+    e = np.floor(np.log10(m)).astype(np.int64)
+    d, fraction = _scaled(m, e)
+    off = (d >= 10**17).astype(np.int64) - (d < 10**16)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        e[redo] += off[redo]
+        d[redo], fraction[redo] = _scaled(m[redo], e[redo])
+    exact &= (np.abs(fraction - 0.5) >= _HALF_MARGIN) & (d > 10**16) & (d < 10**17)
+    d[~exact] = 10**16 + 1
+    return d, e, exact
+
+
+def _format_cells(cells: np.ndarray) -> str:
+    """The rows of cells as CSV text, each cell the bytes of '%.17g' % x.
+
+    _significands gives each cell's 17 digits and decimal exponent e.  The
+    ASCII goes into fixed slots per cell (sign, the '0.000' of
+    1e-4 <= |x| < 1, 17 digits and one dot slot, 'e+NNN', terminator),
+    laid out by %g's rules: fixed notation for -4 <= e < 17, trailing
+    fraction zeros and a bare dot dropped, two exponent digits at least.
+    Unused slots hold NUL, which one bytes.translate deletes.  A cell whose
+    digits are not exact is written by '%.17g' % x itself.
+    """
+    import numpy as np
+
+    groups, group_zeros = _cell_tables()[4:]
+    x = cells.ravel()
+    n = x.size
+    d, e, exact = _significands(np.abs(x))
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    high = rest // 10**8
+    # Four groups of four digits; int32 division is far faster than int64.
+    halves = np.stack([high, rest - high * 10**8]).astype(np.int32)
+    quads = np.empty((4, n), np.int32)
+    quads[::2] = halves // 10**4
+    quads[1::2] = halves - quads[::2] * 10**4
+    # Trailing zeros of D, group by group: a group 0000 adds 4 to those before it.
+    zeros = group_zeros[quads[0]]
+    for quad in quads[1:]:
+        zeros = np.where(quad == 0, zeros + 4, group_zeros[quad])
+
+    sci = (e < -4) | (e > 16)
+    # Index of the last digit before the dot; -1 for 0.000ddd.
+    point = np.where(sci, 0, np.maximum(e, -1)).astype(np.int8)
+    shown = np.maximum(17 - zeros, point + 1)
+    has_fraction = shown > point + 1
+    end = shown + has_fraction
+    dot = has_fraction & (point >= 0)
+    # One row per slot, one column per cell: the rows are long and contiguous.
+    text = np.empty((_CELL_WIDTH, n), np.uint8)
+    text[0] = (x < 0) * np.uint8(ord("-"))
+    prefix = np.where(sci | (e >= 0), 0, 1 - e)
+    text[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None] * (np.arange(5)[:, None] < prefix)
+    digits = np.empty((17, n), np.uint8)
+    digits[0] = lead + ord("0")
+    digits[1:].reshape(4, 4, n)[:] = groups[quads].view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1)
+    # Area slot j holds digit j up to the dot, the dot, then digit j - 1.
+    slot = np.arange(18, dtype=np.int8)[:, None]
+    area = text[6:24]
+    np.multiply(digits, slot[:17] <= point, out=area[:17])
+    area[17] = 0
+    area[1:] += digits * ((slot[1:] > point + 1) & (slot[1:] < end))
+    area += (slot == np.where(dot, point + 1, -1)) * np.uint8(ord("."))
+    exponent = np.abs(e)
+    text[24] = sci * np.uint8(ord("e"))
+    text[25] = sci * np.where(e < 0, np.uint8(ord("-")), np.uint8(ord("+")))
+    # The exponent's digits are the last three of its 4-digit group.
+    text[26:29] = groups[exponent].view(np.uint8).reshape(n, 4).T[1:] * sci
+    text[26] *= exponent >= 100
+    text[29].reshape(cells.shape)[:] = [ord(",")] * (cells.shape[1] - 1) + [ord("\n")]
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        width = _CELL_WIDTH - 1
+        strings = "".join([("%.17g" % v).ljust(width, "\0") for v in x[slow].tolist()])
+        text[:width, slow] = np.frombuffer(strings.encode(), np.uint8).reshape(-1, width).T
+    return text.T.tobytes().translate(None, b"\0").decode()
 
 
 def write_profile_csv(stream: TextIO, times: np.ndarray, gamma_values: np.ndarray) -> None:

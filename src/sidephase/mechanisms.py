@@ -200,7 +200,9 @@ def phonon_rate(channel: PhononRamanChannel, mode: str = "exact-integral") -> fl
     if mode not in PHONON_MODES:
         raise ValueError(f"unknown phonon mode: {mode!r}")
     if mode == "exact-integral":
-        integral = debye_integral(1.0 / channel.t_over_theta)
+        # A T/Theta that underflows to 0 has Theta/T beyond float range.
+        ratio = channel.t_over_theta
+        integral = debye_integral(1.0 / ratio if ratio > 0.0 else math.inf)
     else:
         integral = _PHONON_FACTORIAL_6
     energy_ratio = CONSTANTS.hbar / (SILICON.atom_mass * SILICON.sound_velocity ** 2)

@@ -231,12 +231,17 @@ def _transition(correlation: ExponentialCorrelation, h: float) -> _Transition:
     tau_c = correlation.tau_c
     x = h / tau_c
     drift = -tau_c * math.expm1(-x)  # tau_c (1 - rho)
+    if sigma * tau_c < math.inf:
+        phase_noise = sigma * tau_c * math.sqrt(_q(x))
+    else:
+        # Not inf * 0 = NaN where q(x) underflows.
+        phase_noise = sigma * (tau_c * math.sqrt(_q(x)))
     return _Transition(
         rho=math.exp(-x),
         omega_noise=sigma * math.sqrt(-math.expm1(-2.0 * x)),
         drift=drift,
         cross=sigma * drift * math.sqrt(math.tanh(0.5 * x)),
-        phase_noise=sigma * tau_c * math.sqrt(_q(x)),
+        phase_noise=phase_noise,
     )
 
 

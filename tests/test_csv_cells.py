@@ -1,0 +1,212 @@
+"""CSV cells from the array kernel: the bytes of '%.17g' % x, value for value.
+
+dephasing.write_csv hands a chunk of at least _CSV_KERNEL_ROWS rows to
+_format_cells, which forms each cell's 17 digits with double-double
+arithmetic and lays them out with %g's rules.  The '%' line it replaces is
+the oracle here, over more than a million values of every class where a
+printer can go wrong, and rational arithmetic checks the digits directly.
+"""
+
+import functools
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import sidephase
+from sidephase import dephasing
+from sidephase.dephasing import write_csv
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sidephase.__file__)))
+HEADER = ("a", "b", "c")
+
+
+def percent_line(columns) -> str:
+    """The table as the '%' line writes it, cell by cell."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells = np.column_stack(columns)
+    return ",".join(HEADER[: len(columns)]) + "\n" + row * len(cells) % tuple(cells.ravel().tolist())
+
+
+def written(columns) -> str:
+    buf = io.StringIO()
+    write_csv(buf, HEADER[: len(columns)], *columns)
+    return buf.getvalue()
+
+
+def convergents(a: Fraction):
+    """The continued-fraction convergents (num, den) of a > 0."""
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        q = math.floor(a)
+        h0, h1 = h1, q * h1 + h0
+        k0, k1 = k1, q * k1 + k0
+        yield h1, k1
+        if a == q:
+            return
+        a = 1 / (a - q)
+
+
+def near_ties(exponents) -> list[float]:
+    """x with |x| 10^(16 - e) within 1e-15 of a half-integer, not on it.
+
+    x = M 2^s with a 53-bit M; M 2^(s+1) 10^p near an odd integer comes
+    from a convergent of 2^(s+1) 10^p with an odd numerator.
+    """
+    ties = []
+    for e in exponents:
+        s = math.floor((e + 0.5) * math.log2(10)) - 52
+        ratio = Fraction(2) ** (s + 1) * Fraction(10) ** (16 - e)
+        for num, den in convergents(ratio):
+            if den >= 2 ** 53:
+                break
+            j = -(-(2 ** 52) // den) | 1
+            if num % 2 == 0 or j * den >= 2 ** 53:
+                continue
+            x = math.ldexp(j * den, s)
+            scaled = Fraction(x) * Fraction(10) ** (16 - e)
+            if abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 10 ** 15):
+                ties.append(x)
+    return ties
+
+
+NEAR_TIES = near_ties(list(range(-260, -6, 3)) + list(range(17, 260, 3)))
+CLASSES = ("bits", "magnitudes", "integers", "eighths", "profile", "powers", "ties")
+POWERS = np.array([float(f"1e{k}") for k in range(-300, 300)])
+
+
+@functools.cache
+def value_classes() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(20261018)
+    t = np.linspace(0.0, 4e-3, 100_001)
+    gamma = 0.5 * 1.227826056654865e6 * t * t
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1234567890123456.75, 1234567890123456.25]
+    return {
+        # Every bit pattern: subnormals, NaNs and infinities included.
+        "bits": rng.integers(0, 2 ** 64 - 1, 450_000, dtype=np.uint64, endpoint=True).view(np.float64),
+        "magnitudes": rng.choice([-1.0, 1.0], 240_000) * 2.0 ** rng.uniform(-1074, 1024, 240_000),
+        "integers": rng.integers(0, 10 ** 17, 120_000, endpoint=True).astype(np.float64),
+        "eighths": rng.integers(-(2 ** 40), 2 ** 40, 120_000) / 8.0,
+        "profile": np.concatenate([t, gamma, np.exp(-gamma), t * 2.5, t * 1e-3]),
+        "powers": np.concatenate([POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, math.inf)]),
+        # Repeated to fill a table of more than _CSV_KERNEL_ROWS rows.
+        "ties": np.resize(np.array(NEAR_TIES + special), 3000),
+    }
+
+
+def test_value_classes_cover_a_million_values():
+    classes = value_classes()
+    assert tuple(classes) == CLASSES
+    assert sum(values.size for values in classes.values()) > 1_000_000
+    assert len(NEAR_TIES) > 100
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_cells_are_the_percent_line(name):
+    values = value_classes()[name]
+    values = values[: values.size // 3 * 3].reshape(3, -1)
+    assert values.shape[1] >= dephasing._CSV_KERNEL_ROWS
+    assert written(list(values)) == percent_line(list(values))
+
+
+def exact_digits(x: float) -> tuple[int, int, Fraction]:
+    """D = round(|x| 10^(16 - e)) half to even, e, and the scaled value."""
+    value = abs(Fraction(x))
+    e = math.floor(math.log10(abs(x)))
+    while value >= Fraction(10) ** (e + 1):
+        e += 1
+    while value < Fraction(10) ** e:
+        e -= 1
+    scaled = value * Fraction(10) ** (16 - e)
+    return round(scaled), e, scaled
+
+
+def test_significands_are_correctly_rounded():
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2 ** 63, 4000, dtype=np.uint64).view(np.float64)
+    sample = np.concatenate([
+        bits[np.isfinite(bits) & (bits != 0.0)],
+        10.0 ** rng.uniform(-20, 20, 2000),
+        POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, math.inf),
+        np.array(NEAR_TIES), np.array([1234567890123456.75, 1234567890123456.25]),
+    ])
+    d, e, exact = dephasing._significands(sample)
+    for x, got_d, got_e, got_exact in zip(sample.tolist(), d.tolist(), e.tolist(), exact.tolist()):
+        true_d, true_e, scaled = exact_digits(x)
+        if got_exact:
+            assert (got_d, got_e) == (true_d, true_e), x
+            continue
+        # Only these may be left to '%': outside the kernel's range, within
+        # twice the margin of a tie, or with D near 10^16 or 10^17.
+        tie = abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 2 * dephasing._HALF_MARGIN
+        edge = not 10 ** 16 < true_d < 10 ** 17 - 8
+        assert not 1e-270 <= x < 1e270 or tie or edge, x
+    assert exact.sum() > 0.8 * sample.size
+
+
+def test_log10_off_by_one_is_corrected():
+    # One ulp below 10^k, log10 rounds up to k in most cases; the kernel
+    # must still form those digits itself, not hand them to '%'.
+    below = np.nextafter(POWERS[(POWERS >= 1e-269) & (POWERS < 1e269)], 0.0)
+    rounded_up = np.floor(np.log10(below)) != [exact_digits(x)[1] for x in below.tolist()]
+    assert rounded_up.sum() > 400
+    d, e, exact = dephasing._significands(below[rounded_up])
+    ties = [exact_digits(x)[2].denominator == 2 for x in below[rounded_up].tolist()]
+    assert (exact | ties).all()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_tables_at_the_crossover(monkeypatch, offset):
+    rows = dephasing._CSV_KERNEL_ROWS + offset
+    calls = []
+    kernel = dephasing._format_cells
+    monkeypatch.setattr(dephasing, "_format_cells", lambda cells: calls.append(len(cells)) or kernel(cells))
+    rng = np.random.default_rng(rows)
+    columns = [np.linspace(0.0, 1e-3, rows), rng.standard_normal(rows), 10.0 ** rng.uniform(-9, 9, rows)]
+    assert written(columns) == percent_line(columns)
+    assert calls == ([rows] if offset >= 0 else [])
+
+
+def test_chunks_on_both_paths():
+    # A first chunk through the kernel, a last one below the crossover.
+    rows = dephasing._CSV_CHUNK + dephasing._CSV_KERNEL_ROWS - 1
+    t = np.linspace(0.0, 2e-3, rows)
+    columns = [t, 3000.0 * t * t, np.exp(-3000.0 * t * t)]
+    assert written(columns) == percent_line(columns)
+
+
+RUN = """\
+import contextlib, io, json, sys
+from sidephase import cli, dephasing
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, dephasing._cell_tables.cache_info().currsize]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [
+        (["sweep", "--channel", "hyperfine", "--param", "tau1", "--grid", "1:1e4:48:log"], 0),
+        (["channel", "hyperfine"], 0),
+        (["channel", "hyperfine", "--t-max", "0.004", "--t-points", "20001"], 1),
+    ],
+)
+def test_tables_are_built_only_for_a_large_table(tmp_path, argv, built):
+    out = str(tmp_path / "out.csv")
+    argv = argv + (["--out", out] if argv[0] == "sweep" else [])
+    if "--t-points" in argv:
+        argv += ["--profile-out", out]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, built]

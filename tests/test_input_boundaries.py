@@ -7,14 +7,16 @@ stderr, never in a traceback or in NaN-filled output.
 import json
 import locale
 import math
+import sys
 import warnings
 
+import mpmath
 import pytest
 
 from sidephase import cli, mechanisms, montecarlo
 from sidephase.cli import _write_json, main
 from sidephase.config import CHANNELS, PARAMS
-from sidephase.dephasing import ExponentialCorrelation
+from sidephase.dephasing import ExponentialCorrelation, gamma_exact
 from sidephase.mechanisms import NuclearImpurityChannel, ParamagneticImpurityChannel
 from sidephase.montecarlo import SimulationPlan
 
@@ -143,11 +145,6 @@ class TestCliExitsTwo:
         cfg.write_text(body)
         _assert_usage_error(main(["channel", "hyperfine", "--config", str(cfg)]), capsys)
 
-    def test_markovian_rate_underflow(self, tmp_path, capsys):
-        cfg = tmp_path / "ch.ini"
-        cfg.write_text("[hyperfine]\na0 = 1e-150\ntau1 = 1e-300\n")
-        _assert_usage_error(main(["channel", "hyperfine", "--config", str(cfg)]), capsys)
-
     def test_plan_rejection_still_exits_3(self, tmp_path, capsys):
         code = main(_montecarlo_argv(tmp_path, tau_c="0.5", n_steps="10"))
         assert code == 3
@@ -210,6 +207,118 @@ class TestColdPhonon:
         assert main(argv) == 0
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[3] for row in rows] == ["inf", "inf"]
+
+
+class TestUnderflowingScales:
+    """variance * tau_c^2, or even variance * tau_c, below float range.
+
+    Gamma is formed as (variance tau_c) (tau_c kernel(x)), or
+    (variance tau_c) (t - tau_c) once x = t/tau_c overflows, so the
+    unit-gamma time is the finite root near the Markovian time, or inf
+    where variance * tau_c underflows to 0 or the root is beyond float range.
+    """
+
+    @pytest.mark.parametrize(
+        "body,finite",
+        [
+            ("tau1 = 1e-300", True),  # scale 0, variance tau_c 1.2e-294
+            ("temperature = 0.0037\ntau1 = 1e-20", False),  # variance tau_c subnormal
+            ("a0 = 1e-150\ntau1 = 1e-300", False),  # variance tau_c 0
+        ],
+    )
+    def test_unit_gamma_report(self, tmp_path, capsys, body, finite):
+        cfg = tmp_path / "ch.ini"
+        cfg.write_text(f"[hyperfine]\n{body}\n")
+        argv = ["channel", "hyperfine", "--config", str(cfg), "--convention", "unit-gamma"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        time = report["selected_decoherence_time_s"]
+        assert report["flags"]["infinite_decoherence_time"] is not finite
+        if finite:
+            markovian = report["decoherence_time_s"]["markovian"]
+            assert markovian == pytest.approx(8.144e293, rel=1e-3)
+            assert time == pytest.approx(markovian, rel=1e-8)
+        else:
+            assert time is None
+
+    def test_default_report_and_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "ch.ini"
+        cfg.write_text("[hyperfine]\na0 = 1e-150\ntau1 = 1e-300\n")
+        assert main(["channel", "hyperfine", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["decoherence_time_s"]["unit-gamma"] is None
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--channel", "hyperfine", "--param", "tau1", "--config", str(cfg)]
+        assert main(argv + ["--grid", "1e-300:1e-20:8:log", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 9
+
+    @pytest.mark.parametrize(
+        "kind,key", [("hyperfine", "tau1"), ("paramagnetic", "tau1_imp"), ("nuclear", "t_parallel_imp")]
+    )
+    def test_tiny_correlation_time(self, tmp_path, capsys, kind, key):
+        cfg = tmp_path / "ch.ini"
+        cfg.write_text(f"[{kind}]\n{key} = 1e-300\n")
+        profile = tmp_path / "p.csv"
+        argv = ["channel", kind, "--config", str(cfg), "--convention", "unit-gamma"]
+        argv += ["--profile-out", str(profile), "--t-max", "1e-3", "--t-points", "11"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        rate = report["variance_rad2_per_s2"] * 1e-300
+        times = report["decoherence_time_s"]
+        assert times["markovian"] == pytest.approx(1.0 / rate, rel=1e-12)
+        assert times["unit-gamma"] == pytest.approx(1.0 / rate, rel=1e-8)
+        rows = [line.split(",") for line in profile.read_text().splitlines()[1:]]
+        assert len(rows) == 11
+        for t, gamma, _ in rows[1:]:
+            assert float(gamma) == pytest.approx(rate * float(t), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "variance,tau_c", [(1.23e6, 1e-300), (1e-300, 1e-5), (1.0, 1e-160), (1e-100, 1e-160)]
+    )
+    def test_gamma_keeps_its_digits(self, variance, tau_c):
+        corr = ExponentialCorrelation(variance, tau_c)
+        assert corr.variance * corr.tau_c * corr.tau_c < sys.float_info.min
+        with mpmath.workdps(60):
+            for t in [tau_c * 1e-3, tau_c * 0.3, tau_c * 7.0, 1e-20, 1.0, 1e300, 1.7e308]:
+                x = mpmath.mpf(t) / mpmath.mpf(tau_c)
+                exact = mpmath.mpf(variance) * mpmath.mpf(tau_c) ** 2 * (x - 1 + mpmath.exp(-x))
+                if sys.float_info.min <= exact < sys.float_info.max:
+                    assert gamma_exact(corr, t) == pytest.approx(float(exact), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "kind,body",
+    [
+        ("hyperfine", "temperature = 1e-320"),
+        ("paramagnetic", "temperature = 1e-320"),
+        ("nuclear", "spin_temperature = 1e-320"),
+        ("phonon", "temperature = 5e-324"),
+    ],
+)
+def test_temperature_whose_kt_underflows(tmp_path, capsys, kind, body):
+    """k T or T/Theta underflows to 0: fully polarized or frozen out, not a traceback."""
+    cfg = tmp_path / "ch.ini"
+    cfg.write_text(f"[{kind}]\n{body}\n")
+    assert main(["channel", kind, "--config", str(cfg), "--convention", "unit-gamma"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    key = "decoherence_time_s" if kind == "phonon" else "selected_decoherence_time_s"
+    assert report[key] is None
+
+
+def test_montecarlo_with_overflowing_sigma_tau_c(tmp_path):
+    """sigma tau_c = inf: the phase noise is 0, not inf * 0 = NaN; close to static noise."""
+    out = tmp_path / "mc.csv"
+    argv = ["montecarlo", "--variance", "100", "--tau-c", "2.2e307", "--t-max", "0.001"]
+    argv += ["--n-steps", "1", "--n-trajectories", "10", "--grid-points", "1", "--seed", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    static = tmp_path / "static.csv"
+    argv[argv.index("2.2e307")] = "inf"
+    assert main(argv + ["--out", str(static)]) == 0
+    row = [float(cell) for cell in out.read_text().splitlines()[1].split(",")]
+    static_row = [float(cell) for cell in static.read_text().splitlines()[1].split(",")]
+    assert row == pytest.approx(static_row, rel=1e-9)
 
 
 def test_phonon_profile_runs_one_quadrature(tmp_path, monkeypatch):

@@ -30,10 +30,18 @@ HUGE = sys.float_info.max
 
 
 def bisection_time(correlation):
-    """The unit-gamma branch as it was before the Newton root: every step evaluates Gamma."""
+    """The unit-gamma branch as it was before the Newton root: every step evaluates Gamma.
+
+    Gamma is 0 at every finite t where variance * tau_c underflows to 0, and
+    a doubling that reaches inf finds no root in float range: both give inf.
+    """
+    if correlation.variance * correlation.tau_c == 0.0:
+        return math.inf
     hi = correlation.variance ** -0.5
     while gamma_exact(correlation, hi) < 1.0:
         hi *= 2.0
+    if hi == math.inf:
+        return math.inf
     return bisect_increasing(
         lambda t: gamma_exact(correlation, t) - 1.0, 0.0, hi, rtol=1e-9
     )
