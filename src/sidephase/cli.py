@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import TYPE_CHECKING
 
 from . import constants as const
@@ -63,32 +64,47 @@ def _json_safe(value):
     return value
 
 
-def _write_json(path: str | None, payload) -> None:
-    """Strict JSON (NaN is an error) to path, or to stdout without one."""
-    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+def _json_text(payload) -> str:
+    """Strict JSON (NaN is an error), ending in a newline."""
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """text to path, or to stdout without one."""
     if not path:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
         return
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
-def _check_outputs(args: argparse.Namespace, *options: str) -> None:
-    """Refuse an output path that cannot be created before anything runs.
+def _write_json(path: str | None, payload) -> None:
+    """Strict JSON to path, or to stdout without one."""
+    _write_text(path, _json_text(payload))
 
-    A command with two outputs would otherwise write the first and then
-    fail on the second.  Other open errors still reach main as OSError.
+
+def _open_outputs(args: argparse.Namespace, created: list[str]) -> None:
+    """Open every output the command was given, before it runs.
+
+    A missing file is created and listed in created; an existing one is
+    opened for append, so its bytes stay as they are.  A command with two
+    outputs thus never writes the first and then fails to open the second.
     """
-    for option in options:
+    for option in args.outputs:
         path = getattr(args, option)
         if not path:
             continue
         flag = "--" + option.replace("_", "-")
-        if os.path.isdir(path):
-            raise UsageError(f"{flag} {path} is a directory")
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            raise UsageError(f"{flag} {path}: no such directory {parent}")
+        existed = os.path.exists(path)  # False for a link to a missing file
+        try:
+            open(path, "a").close()
+        except (IsADirectoryError, FileNotFoundError, NotADirectoryError):
+            if os.path.isdir(path):
+                raise UsageError(f"{flag} {path} is a directory") from None
+            parent = os.path.dirname(path) or "."
+            raise UsageError(f"{flag} {path}: no such directory {parent}") from None
+        if not existed:
+            created.append(os.path.realpath(path))  # the file, not a link to it
 
 
 def _config_section(path: str | None, kind: str) -> dict[str, float]:
@@ -210,7 +226,6 @@ def _profile_for(
 
 
 def cmd_channel(args: argparse.Namespace) -> int:
-    _check_outputs(args, "out", "profile_out")
     if args.profile_out and args.t_max is None:
         raise UsageError("--profile-out requires --t-max")
     if args.t_max is not None and not 0.0 < args.t_max < math.inf:
@@ -262,18 +277,9 @@ def _sweep_row(spec: SweepSpec, value: float) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _check_outputs(args, "out")
     fixed = _config_section(args.config, args.channel)
-    lo, hi, count, scale = parse_grid(args.grid)
-    spec = SweepSpec(
-        kind=args.channel,
-        param=args.param,
-        grid_min=lo,
-        grid_max=hi,
-        count=count,
-        scale=scale,
-        fixed=fixed,
-    )
+    # parse_grid returns grid_min, grid_max, count and scale, in field order.
+    spec = SweepSpec(args.channel, args.param, *parse_grid(args.grid), fixed)
     rows = [_sweep_row(spec, float(v)) for v in grid_values(spec)]
     if args.format == "json":
         _write_json(args.out, rows)
@@ -300,7 +306,6 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 def _montecarlo(args: argparse.Namespace) -> int:
     from .montecarlo import SimulationPlan, compare_to_analytic, ensemble_coherence
 
-    _check_outputs(args, "out", "summary_out")
     seed = _resolve_seed(args.seed)
     correlation = ExponentialCorrelation(args.variance, args.tau_c)
     plan = SimulationPlan(
@@ -317,6 +322,20 @@ def _montecarlo(args: argparse.Namespace) -> int:
             correlation.variance, correlation.tau_c * args.mismatch_tau_c
         )
     comparison = compare_to_analytic(result, reference)
+    # Encoded before the CSV is written, so a summary that cannot be
+    # encoded leaves an existing --out as it was.
+    summary = args.summary_out and _json_text(
+        {
+            "max_z": comparison.max_z,
+            "n_trajectories": plan.n_trajectories,
+            "n_steps": plan.n_steps,
+            "t_max": plan.t_max,
+            "variance": correlation.variance,
+            "tau_c": correlation.tau_c,
+            "master_seed": plan.master_seed,
+            "mismatch_tau_c": args.mismatch_tau_c,
+        }
+    )
     with open(args.out, "w", newline="") as fh:
         write_csv(
             fh,
@@ -328,25 +347,12 @@ def _montecarlo(args: argparse.Namespace) -> int:
             comparison.analytic_envelope,
             comparison.z_scores,
         )
-    if args.summary_out:
-        _write_json(
-            args.summary_out,
-            {
-                "max_z": comparison.max_z,
-                "n_trajectories": plan.n_trajectories,
-                "n_steps": plan.n_steps,
-                "t_max": plan.t_max,
-                "variance": correlation.variance,
-                "tau_c": correlation.tau_c,
-                "master_seed": plan.master_seed,
-                "mismatch_tau_c": args.mismatch_tau_c,
-            },
-        )
+    if summary:
+        _write_text(args.summary_out, summary)
     return 0
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    _check_outputs(args, "out")
     entries = build_audit()
     sys.stdout.write(render_table(entries) + "\n")
     if args.out:
@@ -369,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("constants", help="dump the constant registry")
     p_const.add_argument("--out", help="write JSON here instead of stdout")
-    p_const.set_defaults(func=cmd_constants)
+    p_const.set_defaults(func=cmd_constants, outputs=("out",))
 
     p_chan = sub.add_parser("channel", help="single-channel report")
     p_chan.add_argument("kind", choices=CHANNEL_KINDS)
@@ -386,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chan.add_argument(
         "--t-points", type=int, default=200, help="profile grid size"
     )
-    p_chan.set_defaults(func=cmd_channel)
+    p_chan.set_defaults(func=cmd_channel, outputs=("out", "profile_out"))
 
     p_sweep = sub.add_parser("sweep", help="one-parameter channel sweep")
     p_sweep.add_argument("--channel", required=True, choices=CHANNEL_KINDS)
@@ -395,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="INI-style channel parameter file")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, outputs=("out",))
 
     p_mc = sub.add_parser("montecarlo", help="stochastic envelope cross-check")
     p_mc.add_argument("--variance", type=float, required=True)
@@ -421,26 +427,36 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="compare against the envelope for tau_c scaled by this factor",
     )
-    p_mc.set_defaults(func=cmd_montecarlo)
+    p_mc.set_defaults(func=cmd_montecarlo, outputs=("out", "summary_out"))
 
     p_audit = sub.add_parser("audit", help="recompute the published estimates")
     p_audit.add_argument("--out", help="also write the entries as JSON here")
-    p_audit.set_defaults(func=cmd_audit)
+    p_audit.set_defaults(func=cmd_audit, outputs=("out",))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OverflowError, MemoryError, OSError) as exc:
-        # UsageError, the library's argument checks, finite inputs too large
-        # for float arithmetic, arrays too large to allocate and output paths
-        # that cannot be written alike: exit 2.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    args = _build_parser().parse_args(argv)
+    created: list[str] = []
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            _open_outputs(args, created)
+            code = args.func(args)
+        except (ValueError, OverflowError, MemoryError, OSError) as exc:
+            # UsageError, the library's argument checks, finite inputs too large
+            # for float arithmetic, arrays too large to allocate and output paths
+            # that cannot be written alike: exit 2.
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    if code:
+        # A run that fails leaves only its message: the files it created go.
+        for path in created:
+            os.remove(path)
+        return code
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

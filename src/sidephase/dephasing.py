@@ -198,7 +198,8 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
         kernel[series] = _series(x[series])
         xc = x[closed]
         kernel[closed] = xc + _libm(math.expm1, -xc)
-        return (scale * kernel).reshape(shape)
+        lost = (kernel < sys.float_info.min) & (scale > 2.0)  # as in the float path
+        return np.where(lost, 0.5 * scale * x * x, scale * kernel).reshape(shape)
 
 
 def gamma_static(correlation: ExponentialCorrelation, t: float) -> float:
@@ -212,8 +213,13 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
     """Dephasing exponent Gamma(t) for the exponential correlation.
 
     t is a float, or an array evaluated element by element with the float
-    path's bits.  Where the scale variance * tau_c^2 is not a positive
-    normal float, Gamma is formed without it, and so is never NaN:
+    path's bits.  Where the kernel x - 1 + exp(-x) of x = t/tau_c falls
+    below the normal float range (x below about 2e-154) under a normal
+    scale above 2, Gamma is formed as scale x^2 / 2, which keeps the
+    digits the kernel loses (all of them below x ~ 1e-162); a scale of at
+    most 2 cannot magnify that loss past an ulp of Gamma.  Where the scale
+    variance * tau_c^2 is not a positive normal float, Gamma is formed
+    without it, and so is never NaN:
     - if it overflows and x = t/tau_c < 1e-6 (the quasi-static side, where
       x^2 may underflow), as variance t^2 (1/2 - x/6 + x^2/24);
     - if x overflows (tau_c far below t), as
@@ -234,7 +240,11 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
     x = t / tau_c
     scale = correlation.variance * tau_c * tau_c
     if _is_normal(scale):
-        return scale * _gamma_kernel(x)
+        kernel = _gamma_kernel(x)
+        # A kernel below the normal range has lost digits, which a scale
+        # above 2 would magnify past an ulp of Gamma; there the x^3 term is
+        # nil and Gamma is formed as scale x^2 / 2.
+        return scale * kernel if _is_normal(kernel) or scale <= 2.0 else 0.5 * scale * x * x
     if scale == math.inf and x < _SERIES_SWITCH:
         return correlation.variance * t * t * (0.5 - x / 6.0 + x * x / 24.0)
     if x == math.inf:

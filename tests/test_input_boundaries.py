@@ -557,13 +557,16 @@ def test_unreadable_config_names_the_file(tmp_path, capsys, case, message, comma
         "audit-out",
     ],
 )
-@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+@pytest.mark.parametrize("where", ["directory", "missing_parent", "parent_file"])
 def test_unwritable_output_writes_nothing(tmp_path, capsys, command, good, bad, where):
     outputs = tmp_path / "outputs"
     outputs.mkdir()
     if where == "directory":
         target = outputs / "taken"
         target.mkdir()
+    elif where == "parent_file":
+        (outputs / "taken").write_text("")
+        target = outputs / "taken" / "out"
     else:
         target = outputs / "absent" / "out"
     argv = command + [bad, str(target)]
@@ -571,8 +574,10 @@ def test_unwritable_output_writes_nothing(tmp_path, capsys, command, good, bad, 
         argv += [good, str(outputs / "good")]
     line = _assert_usage_error(main(argv), capsys)
     assert line.startswith(f"error: {bad} {target}")
+    if where == "parent_file":
+        assert line == f"error: {bad} {target}: no such directory {target.parent}"
     assert sorted(p.name for p in outputs.iterdir()) == (
-        ["taken"] if where == "directory" else []
+        [] if where == "missing_parent" else ["taken"]
     )
 
 

@@ -1,0 +1,173 @@
+"""main opens every output before the command runs, and a failing run
+leaves nothing behind.
+
+A missing output file is created before the command runs; an existing one
+is opened for append and keeps its bytes.  On exit 2 or 3 main removes
+exactly the files this run created, never a path that existed before.
+Warnings reach stderr as one `warning:` line each, on exit 0 only.
+"""
+
+import json
+import os
+import warnings
+
+import pytest
+
+from sidephase import cli
+from sidephase.cli import main
+
+MC = [
+    "montecarlo", "--variance", "3000", "--tau-c", "1e-3", "--t-max", "0.01",
+    "--n-trajectories", "20", "--grid-points", "5",
+]
+MC_OK = MC + ["--n-steps", "400"]
+MC_REJECTED = MC + ["--n-steps", "2"]  # under-resolved: exit 3
+SWEEP = ["sweep", "--channel", "hyperfine", "--param", "tau1", "--grid", "1:1e4:3:log"]
+LONG = "x" * 300  # longer than a file name may be (ENAMETOOLONG)
+OLD = b"existing bytes\n"
+DILUTE = "concentration times cutoff volume >= 1; the dilute expansion is unreliable"
+
+
+def _one_line(capsys, prefix):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(prefix), lines[0]
+    return lines[0], captured.out
+
+
+@pytest.mark.parametrize(
+    "command,good,bad",
+    [
+        (MC_OK, "--out", "--summary-out"),
+        (["channel", "hyperfine", "--t-max", "0.002"], "--out", "--profile-out"),
+    ],
+    ids=["montecarlo-summary-out", "channel-profile-out"],
+)
+def test_second_output_that_cannot_open_leaves_no_first(tmp_path, capsys, command, good, bad):
+    long_name = tmp_path / (LONG + ".out")
+    argv = command + [good, str(tmp_path / "first"), bad, str(long_name)]
+    assert main(argv) == 2
+    line, out = _one_line(capsys, "error: [Errno ")
+    assert str(long_name) in line
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,code,prefix",
+    [
+        (["channel", "hyperfine", "--config", "{dir}/absent.ini", "--out", "{out}"],
+         2, "error: config file not found: "),
+        (SWEEP + ["--config", "{dir}/absent.ini", "--out", "{out}"],
+         2, "error: config file not found: "),
+        (MC_REJECTED + ["--out", "{out}"], 3, "plan rejected: "),
+        (MC_REJECTED + ["--out", "{dir}/new.csv", "--summary-out", "{out}"], 3, "plan rejected: "),
+    ],
+    ids=["channel-missing-config", "sweep-missing-config", "montecarlo-rejected",
+         "montecarlo-rejected-summary"],
+)
+def test_existing_output_keeps_its_bytes_on_failure(tmp_path, capsys, argv, code, prefix):
+    out = tmp_path / "existing"
+    out.write_bytes(OLD)
+    assert main([a.format(dir=tmp_path, out=out) for a in argv]) == code
+    _one_line(capsys, prefix)
+    assert out.read_bytes() == OLD
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_failure_never_removes_the_null_device(tmp_path, capsys):
+    argv = ["channel", "hyperfine", "--config", str(tmp_path / "absent.ini"), "--out", os.devnull]
+    assert main(argv) == 2
+    _one_line(capsys, "error: config file not found: ")
+    assert os.path.exists(os.devnull)
+
+
+def test_failure_removes_the_file_a_dangling_link_created(tmp_path, capsys):
+    link = tmp_path / "link.json"
+    try:
+        link.symlink_to("target.json")
+    except OSError:
+        pytest.skip("no symbolic links here")
+    argv = ["channel", "hyperfine", "--config", str(tmp_path / "absent.ini"), "--out", str(link)]
+    assert main(argv) == 2
+    _one_line(capsys, "error: config file not found: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["link.json"]
+    assert link.is_symlink()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent", "parent_file"])
+def test_constants_output_is_opened_like_the_others(tmp_path, capsys, where):
+    if where == "directory":
+        target = tmp_path / "taken"
+        target.mkdir()
+        message = f"error: --out {target} is a directory"
+    else:
+        if where == "parent_file":
+            (tmp_path / "taken").write_bytes(OLD)
+        target = tmp_path / "taken" / "out"
+        message = f"error: --out {target}: no such directory {target.parent}"
+    assert main(["constants", "--out", str(target)]) == 2
+    line, out = _one_line(capsys, "error: ")
+    assert line == message and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if where == "missing_parent" else ["taken"])
+
+
+def test_outputs_exist_before_the_command_runs(tmp_path, monkeypatch):
+    seen = []
+    report, profile = tmp_path / "r.json", tmp_path / "p.csv"
+    build_channel = cli.build_channel
+
+    def spy(kind, params):
+        seen.append((report.exists(), profile.exists()))
+        return build_channel(kind, params)
+
+    monkeypatch.setattr(cli, "build_channel", spy)
+    argv = ["channel", "hyperfine", "--t-max", "1e-3", "--out", str(report),
+            "--profile-out", str(profile)]
+    assert main(argv) == 0
+    assert seen == [(True, True)]
+
+
+def test_created_output_is_removed_when_the_command_fails(tmp_path, capsys):
+    argv = ["sweep", "--channel", "hyperfine", "--param", "a0", "--grid", "1e8:1e200:5:log",
+            "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    _one_line(capsys, "error: hyperfine channel: an input is too large")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_one_file_for_both_montecarlo_outputs(tmp_path, capsys):
+    both = str(tmp_path / "mc.out")
+    assert main(MC_OK + ["--out", both, "--summary-out", both]) == 0
+    with open(both) as fh:
+        assert json.load(fh)["n_steps"] == 400  # the summary, written last
+    assert main(MC_REJECTED + ["--out", both, "--summary-out", both]) == 3
+    assert os.path.exists(both)  # it existed before this run
+    os.remove(both)
+    assert main(MC_REJECTED + ["--out", both, "--summary-out", both]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["paramagnetic", "nuclear"])
+def test_dilute_warning_is_one_line(tmp_path, capsys, kind):
+    config = tmp_path / "ch.ini"
+    config.write_text(f"[{kind}]\nconcentration = 1e29\n")
+    assert main(["channel", kind, "--config", str(config)]) == 0
+    line, out = _one_line(capsys, "warning: ")
+    assert line == f"warning: {DILUTE}"
+    assert json.loads(out)["channel"] == kind
+
+
+def test_failing_run_prints_only_its_error(tmp_path, capsys, monkeypatch):
+    def warn_then_fail(kind, params):
+        warnings.warn("a warning before the error")
+        raise ValueError("the error")
+
+    monkeypatch.setattr(cli, "build_channel", warn_then_fail)
+    argv = SWEEP + ["--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    line, _ = _one_line(capsys, "error: ")
+    assert line == "error: the error"
+    assert list(tmp_path.iterdir()) == []
