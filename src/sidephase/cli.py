@@ -439,6 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     created: list[str] = []
+    code: int | None = None  # None while an exception escapes
     with warnings.catch_warnings(record=True) as caught:
         try:
             _open_outputs(args, created)
@@ -449,10 +450,13 @@ def main(argv: list[str] | None = None) -> int:
             # that cannot be written alike: exit 2.
             print(f"error: {exc}", file=sys.stderr)
             code = 2
+        finally:
+            if code != 0:
+                # A run that fails or is interrupted leaves only its message:
+                # the files it created go, and an escaping exception goes on.
+                for path in created:
+                    os.remove(path)
     if code:
-        # A run that fails leaves only its message: the files it created go.
-        for path in created:
-            os.remove(path)
         return code
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)

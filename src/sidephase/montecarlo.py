@@ -29,8 +29,10 @@ one Philox key per run, and index i's counter starts at (0, i, 0, 0).
 Trajectories are sampled in one thread, in fixed blocks of _BLOCK indices
 that bound the draw buffer; each block writes its rows of preallocated
 arrays, and the reduction runs over those arrays in fixed index order.
-The per-row counter reset and draw hold the GIL, so threads would add
-code and no speed.
+Each row resets one Philox generator's counter by handing it a state dict
+of Python ints, which its state setter reads without boxing a numpy
+scalar per word (see index_normals).  The reset and the draw hold the
+GIL, so threads would add code and no speed.
 """
 
 from __future__ import annotations
@@ -142,21 +144,30 @@ def index_normals(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     K = SeedSequence(seed).generate_state(2, np.uint64).  A draw depends
     only on (seed, i): never on the block or the sampling order.
     Consecutive indices start 2**64 Philox blocks apart, so rows never
-    overlap.  One generator serves the whole block; each row only resets
-    its counter and discards the buffered words.
+    overlap.  One generator serves the whole block; each row sets its
+    counter in one state dict and hands that dict back, which also
+    discards the buffered words.  The dict holds Python ints, not uint64
+    arrays: the state setter reads its words one by one, and each read
+    from an array boxes a numpy scalar first, which more than doubles the
+    cost of the reset.
     """
-    bit_generator = np.random.Philox(
-        key=np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    )
-    generator = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    counter = state["state"]["counter"]
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    bit_generator = np.random.Philox(key=key)
+    normal = np.random.Generator(bit_generator).standard_normal
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key.tolist()},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     draws = np.empty((hi - lo, width))
-    for row, index in enumerate(range(lo, hi)):
-        counter[:] = (0, index, 0, 0)
-        state["buffer_pos"] = 4
+    for row, index in zip(draws, range(lo, hi)):
+        counter[1] = index
         bit_generator.state = state
-        generator.standard_normal(out=draws[row])
+        normal(out=row)
     return draws
 
 

@@ -64,6 +64,20 @@ class TestPhiloxStream:
             stream = np.random.Generator(np.random.Philox(key=key, counter=[0, i, 0, 0]))
             assert block[i - lo].tobytes() == stream.standard_normal(width).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    @pytest.mark.parametrize("width", [3, 101])
+    def test_counter_word_at_the_top_of_the_uint64_range(self, seed, width):
+        # Counter words at or above 2**63 take the reset's int path too.  The
+        # reference counter is a uint64 array: numpy makes the list
+        # [0, 2**64 - 3, 0, 0] a float64 array, whose cast reads as 0.
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        lo, hi = 2 ** 64 - 3, 2 ** 64
+        block = index_normals(seed, lo, hi, width)
+        for i in range(lo, hi):
+            counter = np.array([0, i, 0, 0], dtype=np.uint64)
+            stream = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            assert block[i - lo].tobytes() == stream.standard_normal(width).tobytes()
+
     @pytest.mark.parametrize("block", [1, 97, 1000])
     def test_ensemble_bytes_do_not_depend_on_the_block_size(self, monkeypatch, block):
         plan = SimulationPlan(ExponentialCorrelation(1.0, 0.1), 1.0, 400, 601, 23)

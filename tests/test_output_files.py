@@ -2,7 +2,8 @@
 leaves nothing behind.
 
 A missing output file is created before the command runs; an existing one
-is opened for append and keeps its bytes.  On exit 2 or 3 main removes
+is opened for append and keeps its bytes.  On exit 2 or 3, or when an
+exception such as KeyboardInterrupt escapes the command, main removes
 exactly the files this run created, never a path that existed before.
 Warnings reach stderr as one `warning:` line each, on exit 0 only.
 """
@@ -171,3 +172,29 @@ def test_failing_run_prints_only_its_error(tmp_path, capsys, monkeypatch):
     line, _ = _one_line(capsys, "error: ")
     assert line == "error: the error"
     assert list(tmp_path.iterdir()) == []
+
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "where,existing",
+    [("write_profile_csv", False), ("write_profile_csv", True), ("build_channel", True)],
+    ids=["profile-write-new", "profile-write-existing", "before-any-write-existing"],
+)
+def test_interrupted_run_removes_what_it_created(tmp_path, monkeypatch, where, existing):
+    # An interrupt in the profile write comes after the report is written:
+    # an existing report is overwritten by then, but not removed.  One before
+    # any write leaves it with its bytes.
+    report, profile = tmp_path / "r.json", tmp_path / "p.csv"
+    if existing:
+        report.write_bytes(OLD)
+    monkeypatch.setattr(cli, where, _interrupt)
+    argv = ["channel", "hyperfine", "--t-max", "0.002", "--out", str(report),
+            "--profile-out", str(profile)]
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert [p.name for p in tmp_path.iterdir()] == (["r.json"] if existing else [])
+    if where == "build_channel":
+        assert report.read_bytes() == OLD
