@@ -307,6 +307,11 @@ def _montecarlo(args: argparse.Namespace) -> int:
     from .montecarlo import SimulationPlan, compare_to_analytic, ensemble_coherence
 
     seed = _resolve_seed(args.seed)
+    if not args.mismatch_tau_c > 0.0:  # NaN too
+        raise UsageError(
+            "--mismatch-tau-c must be positive (inf for a static reference), "
+            f"got {args.mismatch_tau_c!r}"
+        )
     correlation = ExponentialCorrelation(args.variance, args.tau_c)
     plan = SimulationPlan(
         correlation=correlation,
@@ -315,12 +320,12 @@ def _montecarlo(args: argparse.Namespace) -> int:
         n_trajectories=args.n_trajectories,
         master_seed=seed,
     )
-    result = ensemble_coherence(plan, n_grid=args.grid_points, n_workers=args.workers)
     reference = correlation
     if args.mismatch_tau_c != 1.0:
         reference = ExponentialCorrelation(
             correlation.variance, correlation.tau_c * args.mismatch_tau_c
         )
+    result = ensemble_coherence(plan, n_grid=args.grid_points, n_workers=args.workers)
     comparison = compare_to_analytic(result, reference)
     # Encoded before the CSV is written, so a summary that cannot be
     # encoded leaves an existing --out as it was.

@@ -157,6 +157,23 @@ class TestCliExitsTwo:
         assert not (tmp_path / "mc.csv").exists()
 
 
+class TestMismatchTauCIsCheckedFirst:
+    @pytest.mark.parametrize("value", ["-1", "0", "-0", "nan"])
+    def test_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, value):
+        def never(*args, **kwargs):
+            raise AssertionError("the ensemble was sampled")
+
+        monkeypatch.setattr(montecarlo, "ensemble_coherence", never)
+        code = main(_montecarlo_argv(tmp_path, mismatch_tau_c=value))
+        assert "--mismatch-tau-c" in _assert_usage_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_inf_is_a_static_reference(self, tmp_path, capsys):
+        argv = _montecarlo_argv(tmp_path, tau_c="1.0", mismatch_tau_c="inf")
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "mc.json").read_text())["mismatch_tau_c"] is None
+
+
 class TestOverflowExitsTwo:
     """Finite inputs too large for float arithmetic: exit 2, not a traceback."""
 
