@@ -30,9 +30,11 @@ least _CSV_KERNEL_ROWS rows gets those bytes from array arithmetic instead
 from Dekker's error-free product (Numer. Math. 18, 224 (1971)) with a
 double-double table of powers of ten, as fixed-precision printers such as
 Ryu printf form them with wide integers (Adams, OOPSLA 2019), and is laid
-out in fixed ASCII slots by %g's rules.  A cell whose rounding the kernel
-cannot decide exactly is formatted by '%' itself, so the bytes are those
-of '%' by construction.  The kernel's tables are built on its first call.
+out in fixed ASCII slots by %g's rules: 30 per cell, or 25 in a chunk with
+no cell in scientific notation, which needs no 'e+NNN' slots.  A cell
+whose rounding the kernel cannot decide exactly is formatted by '%'
+itself, so the bytes are those of '%' by construction.  The kernel's
+tables are built on its first call.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ _SPLITTER = 134217729.0
 _CELL_E_MIN, _CELL_E_MAX = -272, 271
 _HALF_MARGIN = 2.0 ** -30
 # Slots per cell: sign, '0.000', 17 digits and a dot, 'e+NNN', terminator.
+# A chunk with no scientific cell leaves out the 5 exponent slots: the
+# longest '%.17g' string, such as -1.7976931348623157e+308, is 24
+# characters, so a cell written by '%' still fits before the terminator.
 _CELL_WIDTH = 30
 
 
@@ -226,6 +231,9 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
       (variance tau_c) (t - tau_c), the kernel's limit x - 1;
     - otherwise as (variance tau_c) (tau_c kernel(x)), which keeps the
       digits that a zero or subnormal scale loses.
+    Where the rate variance * tau_c is itself below the normal range, its
+    significands are multiplied with the last factor and its exponents
+    applied at the end, so Gamma keeps its digits there too.
     Gamma(0) is 0.
     """
     # A Python float, as in the unit-gamma bisection's many calls, skips
@@ -247,9 +255,13 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
         return scale * kernel if _is_normal(kernel) or scale <= 2.0 else 0.5 * scale * x * x
     if scale == math.inf and x < _SERIES_SWITCH:
         return correlation.variance * t * t * (0.5 - x / 6.0 + x * x / 24.0)
-    if x == math.inf:
-        return correlation.variance * tau_c * (t - tau_c)
-    return correlation.variance * tau_c * (tau_c * _gamma_kernel(x))
+    factor = t - tau_c if x == math.inf else tau_c * _gamma_kernel(x)
+    rate = correlation.variance * tau_c
+    if rate >= sys.float_info.min:
+        return rate * factor
+    # The rate has lost digits below the normal range; its factors' have not.
+    (m_variance, e_variance), (m_tau, e_tau) = math.frexp(correlation.variance), math.frexp(tau_c)
+    return math.ldexp(m_variance * m_tau * factor, e_variance + e_tau)
 
 
 def coherence_envelope(correlation: ExponentialCorrelation, t):
@@ -329,7 +341,7 @@ def decoherence_time(
             raise ValueError("markovian convention is undefined for static noise")
         return math.inf if rate == 0.0 else 1.0 / rate
     if rate == 0.0:
-        # Gamma(t) < rate t is 0 at every finite t.
+        # Gamma(t) < variance tau_c t, below 5e-324 t, is under 1 at every finite t.
         return math.inf
     # unit-gamma: Gamma is strictly increasing and unbounded, so a bracket
     # always exists; start from the static-limit guess and expand.
@@ -471,7 +483,8 @@ def _scaled(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row = e - _CELL_E_MIN
     hi, lo, hi_head, hi_tail = (table[row] for table in _cell_tables()[:4])
     head = m * hi
-    m_head = _SPLITTER * m - (_SPLITTER * m - m)
+    split = _SPLITTER * m
+    m_head = split - (split - m)
     m_tail = m - m_head
     error = ((m_head * hi_head - head) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
     tail = error + m * lo
@@ -517,8 +530,12 @@ def _format_cells(cells: np.ndarray) -> str:
     1e-4 <= |x| < 1, 17 digits and one dot slot, 'e+NNN', terminator),
     laid out by %g's rules: fixed notation for -4 <= e < 17, trailing
     fraction zeros and a bare dot dropped, two exponent digits at least.
-    Unused slots hold NUL, which one bytes.translate deletes.  A cell whose
-    digits are not exact is written by '%.17g' % x itself.
+    Work that only some cells need is done for those cells alone: the
+    trailing-zero walk past a last digit group of 0000, the dot, and the
+    exponent, whose 5 slots a chunk with no scientific cell leaves out
+    (25 slots per cell instead of 30).  Unused slots hold NUL, which one
+    bytes.translate deletes.  A cell whose digits are not exact is written
+    by '%.17g' % x itself, in the slots before the terminator.
     """
     import numpy as np
 
@@ -534,10 +551,16 @@ def _format_cells(cells: np.ndarray) -> str:
     quads = np.empty((4, n), np.int32)
     quads[::2] = halves // 10**4
     quads[1::2] = halves - quads[::2] * 10**4
-    # Trailing zeros of D, group by group: a group 0000 adds 4 to those before it.
-    zeros = group_zeros[quads[0]]
-    for quad in quads[1:]:
-        zeros = np.where(quad == 0, zeros + 4, group_zeros[quad])
+    # Trailing zeros of D: the last group's, and only where that group is
+    # 0000, 4 plus those of the groups before it, walked back the same way.
+    zeros = group_zeros[quads[3]]
+    walk = np.flatnonzero(quads[3] == 0)
+    if walk.size:
+        earlier = quads[:3, walk]
+        walked = group_zeros[earlier[0]]
+        for quad in earlier[1:]:
+            walked = np.where(quad == 0, walked + 4, group_zeros[quad])
+        zeros[walk] = walked + 4
 
     sci = (e < -4) | (e > 16)
     # Index of the last digit before the dot; -1 for 0.000ddd.
@@ -545,9 +568,11 @@ def _format_cells(cells: np.ndarray) -> str:
     shown = np.maximum(17 - zeros, point + 1)
     has_fraction = shown > point + 1
     end = shown + has_fraction
-    dot = has_fraction & (point >= 0)
     # One row per slot, one column per cell: the rows are long and contiguous.
-    text = np.empty((_CELL_WIDTH, n), np.uint8)
+    # The exponent's 5 slots are laid out only in a chunk that has one.
+    scientific = np.flatnonzero(sci)
+    width = _CELL_WIDTH if scientific.size else _CELL_WIDTH - 5
+    text = np.empty((width, n), np.uint8)
     text[0] = (x < 0) * np.uint8(ord("-"))
     prefix = np.where(sci | (e >= 0), 0, 1 - e)
     text[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None] * (np.arange(5)[:, None] < prefix)
@@ -560,19 +585,23 @@ def _format_cells(cells: np.ndarray) -> str:
     np.multiply(digits, slot[:17] <= point, out=area[:17])
     area[17] = 0
     area[1:] += digits * ((slot[1:] > point + 1) & (slot[1:] < end))
-    area += (slot == np.where(dot, point + 1, -1)) * np.uint8(ord("."))
-    exponent = np.abs(e)
-    text[24] = sci * np.uint8(ord("e"))
-    text[25] = sci * np.where(e < 0, np.uint8(ord("-")), np.uint8(ord("+")))
-    # The exponent's digits are the last three of its 4-digit group.
-    text[26:29] = groups[exponent].view(np.uint8).reshape(n, 4).T[1:] * sci
-    text[26] *= exponent >= 100
-    text[29].reshape(cells.shape)[:] = [ord(",")] * (cells.shape[1] - 1) + [ord("\n")]
+    dots = np.flatnonzero(has_fraction & (point >= 0))
+    area[point[dots] + 1, dots] = ord(".")
+    if scientific.size:
+        text[24:29] = 0
+        power = e[scientific]
+        exponent = np.abs(power)
+        text[24, scientific] = ord("e")
+        text[25, scientific] = np.where(power < 0, ord("-"), ord("+"))
+        # The exponent's digits are the last three of its 4-digit group.
+        three = groups[exponent].view(np.uint8).reshape(-1, 4).T[1:]
+        three[0] *= exponent >= 100
+        text[26:29, scientific] = three
+    text[width - 1].reshape(cells.shape)[:] = [ord(",")] * (cells.shape[1] - 1) + [ord("\n")]
     slow = np.flatnonzero(~exact)
     if slow.size:
-        width = _CELL_WIDTH - 1
-        strings = "".join([("%.17g" % v).ljust(width, "\0") for v in x[slow].tolist()])
-        text[:width, slow] = np.frombuffer(strings.encode(), np.uint8).reshape(-1, width).T
+        strings = "".join([("%.17g" % v).ljust(width - 1, "\0") for v in x[slow].tolist()])
+        text[: width - 1, slow] = np.frombuffer(strings.encode(), np.uint8).reshape(-1, width - 1).T
     return text.T.tobytes().translate(None, b"\0").decode()
 
 

@@ -29,6 +29,7 @@ import tempfile
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -148,6 +149,14 @@ def channel_case(draw):
 # Found by this test: Gamma 5 ulps above sigma^2 t^2 / 2 where its kernel
 # x^2 / 2 is subnormal (t/tau_c ~ 6e-155) under a scale of 1.2e14.
 @example(("hyperfine", {}, ("t", math.ldexp(1.0, -491)), 257))
+# Found by this test: Gamma 6 ulps above sigma^2 tau_c t where the rate
+# sigma^2 tau_c (1.7e-309) is subnormal but Gamma (2.8e-308) is not.
+@example((
+    "paramagnetic",
+    {"field": 1.0, "temperature": 1.0, "concentration": 1.0, "tau1_imp": math.ldexp(1.0, -976)},
+    ("t", 16.0),
+    2,
+))
 def test_channel_report_and_profile_agree(case):
     kind, params, (how, horizon), points = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -242,3 +251,21 @@ def test_gamma_keeps_its_digits_where_its_kernel_underflows():
     gamma = gamma_exact(correlation, 1e-20)
     assert abs(Fraction(gamma) - expected) <= 2 * Fraction(math.ulp(gamma))
     assert gamma_exact(correlation, np.array([0.0, 1e-20])).tolist() == [0.0, gamma]
+
+
+@pytest.mark.parametrize(
+    "variance,tau_c,t",
+    [
+        (1e-25, 3e-290, 1e9),  # x = t/tau_c = 3.3e298: (variance tau_c) (tau_c kernel(x))
+        (1e-25, 3e-300, 1e9),  # x overflows: (variance tau_c) (t - tau_c)
+    ],
+)
+def test_gamma_keeps_its_digits_where_the_rate_is_subnormal(variance, tau_c, t):
+    # The rate variance tau_c (3e-315, 3e-325) is subnormal or 0 in floats,
+    # but Gamma = variance tau_c (t - tau_c) + variance tau_c^2 exp(-x) is
+    # 3e-306 or 3e-316, and exp(-x) is far below an ulp of it.
+    correlation = ExponentialCorrelation(variance, tau_c)
+    expected = Fraction(variance) * Fraction(tau_c) * (Fraction(t) - Fraction(tau_c))
+    gamma = gamma_exact(correlation, t)
+    assert abs(Fraction(gamma) - expected) <= 2 * Fraction(math.ulp(gamma))
+    assert gamma_exact(correlation, np.array([0.0, t])).tolist() == [0.0, gamma]

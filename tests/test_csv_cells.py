@@ -210,3 +210,93 @@ def test_tables_are_built_only_for_a_large_table(tmp_path, argv, built):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, built]
+
+
+def slot_counts(monkeypatch) -> list[int]:
+    """Record the slots per cell of each chunk _format_cells lays out.
+
+    The kernel's text array is a uint8 np.empty of one row per slot; its
+    other uint8 np.empty, of 17 rows, holds the digits.
+    """
+    counts = []
+    empty = np.empty
+
+    def spy(shape, dtype=float, *args, **kwargs):
+        if np.dtype(dtype) == np.uint8 and len(shape) == 2 and shape[0] != 17:
+            counts.append(shape[0])
+        return empty(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    return counts
+
+
+FIXED = np.linspace(1e-3, 2e-3, 300)  # no cell in scientific notation
+
+
+def test_chunk_without_exponents_holds_the_longest_fallbacks(monkeypatch):
+    # 24 characters, the longest '%.17g' string, fit the 25-slot layout.
+    longest = [-1.7976931348623157e308, -2.2250738585072014e-308, -0.0, math.nan]
+    column = FIXED.copy()
+    column[::7] = np.resize(longest, column[::7].size)
+    columns = [FIXED, column, -FIXED]
+    counts = slot_counts(monkeypatch)
+    assert written(columns) == percent_line(columns)
+    assert counts == [dephasing._CELL_WIDTH - 5]
+
+
+def test_chunk_whose_last_cell_alone_is_scientific(monkeypatch):
+    last = FIXED.copy()
+    last[-1] = -1.25e-200
+    assert dephasing._significands(np.abs(last))[2][-1]  # not left to '%'
+    columns = [FIXED, 2.0 * FIXED, last]
+    counts = slot_counts(monkeypatch)
+    text = written(columns)
+    assert text == percent_line(columns)
+    assert text.endswith(",-1.25e-200\n")
+    assert counts == [dephasing._CELL_WIDTH]
+
+
+def test_slots_per_cell_change_from_chunk_to_chunk(monkeypatch):
+    rows = 3 * dephasing._CSV_CHUNK
+    t = np.linspace(0.1, 0.2, rows)
+    middle = t.copy()
+    middle[dephasing._CSV_CHUNK + 5::97][:20] = 1.5 * 10.0 ** np.arange(17, 37)
+    columns = [t, middle, 1.0 - t]
+    counts = slot_counts(monkeypatch)
+    assert written(columns) == percent_line(columns)
+    wide, narrow = dephasing._CELL_WIDTH, dephasing._CELL_WIDTH - 5
+    assert counts == [narrow, wide, narrow]
+
+
+def test_dot_at_every_position():
+    # Decimal exponent e from -4 (0.000ddd, point -1) to 16 (point 16):
+    # without a fraction (d 10^e), and with one where 17 digits allow it.
+    values = []
+    for e in range(-4, 17):
+        power = float(f"1e{e}")
+        values += [power, 7.0 * power, 1.25 * power, np.nextafter(power, math.inf)]
+        if 0 <= e <= 15:
+            values += [power + 0.5, 3.0 * power + 0.25]
+    values = np.array(values + [-v for v in values])
+    table = np.resize(values, (3, 3 * values.size))
+    exponents = dephasing._significands(np.abs(values))[1]
+    assert set(exponents.tolist()) == set(range(-4, 17))
+    assert written(list(table)) == percent_line(list(table))
+
+
+def test_digits_ending_in_zero_groups():
+    # Integers of 1 to 13 significant digits, times powers of ten or
+    # halved: D ends in exactly one, two, three or four 4-digit groups 0000.
+    digits = "12345678901234567"
+    values = []
+    for width in (13, 12, 9, 8, 5, 4, 1):
+        for lead in (digits, digits[::-1], "9" * 17):
+            whole = int(lead[:width])
+            values += [float(whole * 10 ** k) for k in range(0, 17 - width)]
+            values += [whole / 2.0 ** k for k in (1, 3, 10)]
+    values = np.array(values + [-v for v in values])
+    d, _, exact = dephasing._significands(np.abs(values))
+    zero_groups = {max(k for k in range(5) if v % 10 ** (4 * k) == 0) for v in d[exact].tolist()}
+    assert zero_groups == {0, 1, 2, 3, 4}
+    table = np.resize(values, (3, max(values.size, dephasing._CSV_KERNEL_ROWS)))
+    assert written(list(table)) == percent_line(list(table))
