@@ -314,7 +314,8 @@ def decoherence_time(
     """Decoherence time under one of three conventions.
 
     static      : variance^(-1/2)
-    markovian   : (variance * tau_c)^(-1); rejected for static noise
+    markovian   : (variance * tau_c)^(-1), rounded once also where the
+                  rate is subnormal; rejected for static noise
     unit-gamma  : the t solving Gamma(t) = 1, bisected to 1e-9 relative
 
     Zero variance returns math.inf under every convention, and so does a
@@ -339,7 +340,16 @@ def decoherence_time(
     if convention == "markovian":
         if correlation.is_static:
             raise ValueError("markovian convention is undefined for static noise")
-        return math.inf if rate == 0.0 else 1.0 / rate
+        if rate >= sys.float_info.min:
+            return 1.0 / rate
+        # The rate has lost digits below the normal range: divide its
+        # factors' exact ratios as integers, which rounds once.
+        n_variance, d_variance = correlation.variance.as_integer_ratio()
+        n_tau, d_tau = correlation.tau_c.as_integer_ratio()
+        try:
+            return d_variance * d_tau / (n_variance * n_tau)
+        except OverflowError:
+            return math.inf
     if rate == 0.0:
         # Gamma(t) < variance tau_c t, below 5e-324 t, is under 1 at every finite t.
         return math.inf

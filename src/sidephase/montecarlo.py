@@ -27,13 +27,20 @@ Determinism: trajectory i draws from its own stream, row i of
 index_normals(master_seed, ...), which defines the register's stream too:
 one Philox key per run, and index i's counter starts at (0, i, 0, 0).
 Trajectories are sampled in one thread, in fixed blocks of _BLOCK = 1024
-indices that bound the draw buffer, and the reduction runs over the result
-arrays in fixed index order.  Each block writes its phases straight into
-its rows of the phase-squared array and forms its phasors and squares in
-place there: no block-sized temporary outlives the block, so the peak
-memory, set by the reduction, is that of smaller blocks, while the update's
-per-step array operations are dispatched a quarter as often as with blocks
-of 256.
+indices that bound the draw buffer, and each block writes its phases
+straight into its rows of the phase-squared array.  Only after the last
+block are the phases' cosines and sines formed and the phases squared in
+place, so the draw buffer never lives beside the three result arrays.  The
+reduction adds the rows in index order: column sums of the whole arrays,
+and a deviation pass for the standard errors that streams through one
+buffer of _REDUCE_ROWS rows.  The peak memory is the three result arrays
+and that buffer.
+The cosines and sines are the platform libm's, so they are the bits of
+exp(1j phase) wherever the complex exp takes its parts from the same cos
+and sin, as glibc's does (tests/test_sampler_blocks.py checks it).  The
+one exception, phase = -0.0, where sin keeps the sign and exp does not,
+never occurs: phases start at +0.0, and a rounded sum is -0.0 only when
+both its terms are.
 Each row resets one Philox generator's counter by handing it a state dict
 of Python ints, which its state setter reads without boxing a numpy
 scalar per word (see index_normals).  The reset and the draw hold the
@@ -70,6 +77,8 @@ _MAX_SEED = 2 ** 64
 _MAX_STEPS = 2 ** 53
 # Trajectories per draw buffer.
 _BLOCK = 1024
+# Rows per block of the standard errors' deviation pass.
+_REDUCE_ROWS = 512
 # Below this x = h/tau_c, q(x) = 2 (x - 2 tanh(x/2)) loses digits to
 # cancellation (3e-12 relative at x = 0.03) and its Taylor series in
 # x^3, x^5, ..., x^11 is summed instead; at the switch each branch is
@@ -180,6 +189,33 @@ def standard_error(samples: np.ndarray) -> np.ndarray:
     """Standard error of the mean over axis 0, the ensemble axis."""
     n = len(samples)
     return samples.std(axis=0, ddof=1 if n > 1 else 0) / math.sqrt(n)
+
+
+def _blockwise_standard_error(samples: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """standard_error of a 2-D array, without a temporary of its size.
+
+    sums is samples.sum(axis=0), which the caller has formed already.  The
+    deviations from the column means pass through one buffer of
+    _REDUCE_ROWS rows.  Each block's squares are added row by row, with the
+    running total added into the block's first row, so every column is
+    summed in index order: the order numpy sums axis 0 of an array of two
+    or more columns in, and so the same bits.  A single column numpy sums
+    pairwise, and it goes to standard_error.
+    """
+    n, width = samples.shape
+    if width == 1:
+        return standard_error(samples)
+    mean = sums / n
+    total = np.zeros(width)
+    buffer = np.empty((min(n, _REDUCE_ROWS), width))
+    for lo in range(0, n, _REDUCE_ROWS):
+        block = samples[lo : lo + _REDUCE_ROWS]
+        deviation = np.subtract(block, mean, out=buffer[: len(block)])
+        np.multiply(deviation, deviation, out=deviation)
+        deviation[0] += total
+        np.add.reduce(deviation, axis=0, out=total)
+    total /= n - 1 if n > 1 else n
+    return np.sqrt(total, out=total) / math.sqrt(n)
 
 
 def generate_trajectory(plan: SimulationPlan, index: int) -> np.ndarray:
@@ -335,14 +371,14 @@ def ensemble_coherence(
 ) -> EnsembleCoherence:
     """Sample the ensemble exactly on n_grid output times and reduce it.
 
-    The blocks of 1024 trajectories fill their rows in one thread and the
-    reduction is a single fixed-order pass over the completed arrays.  Each
-    block's phases are written into its rows of phase_sq, its phasors are
-    formed in place in phasors, and the phases are then squared in place.
-    No block temporary outlives its block, so these blocks dispatch a
-    quarter of the array operations of 256-row blocks at the same peak
-    memory.  n_workers must be at least 1 and changes neither the result
-    nor the speed.
+    The blocks of 1024 trajectories write their phases into their rows of
+    phase_sq, in one thread.  After the last block, the real and imaginary
+    parts of the phasors are the cosines and sines of the phases, and the
+    phases are squared in place.  The column sums add the rows in index
+    order, and the standard errors make one deviation pass through a buffer
+    of _REDUCE_ROWS rows, so the peak memory is the three result arrays and
+    that buffer.  n_workers must be at least 1 and changes neither the
+    result nor the speed.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
@@ -352,22 +388,34 @@ def ensemble_coherence(
     by_steps = {s: _transition(plan.correlation, s * dt) for s in set(steps)}
     transitions = [by_steps[s] for s in steps]
     n = plan.n_trajectories
-    phasors = np.empty((n, n_grid), dtype=complex)
     phase_sq = np.empty((n, n_grid))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        phase = _sample_phases(plan, transitions, lo, hi, out=phase_sq[lo:hi])
-        block = np.multiply(phase, 1j, out=phasors[lo:hi])
-        np.exp(block, out=block)
-        np.multiply(phase, phase, out=phase)
+        _sample_phases(plan, transitions, lo, hi, out=phase_sq[lo:hi])
+    re = np.cos(phase_sq)
+    im = np.sin(phase_sq)
+    np.multiply(phase_sq, phase_sq, out=phase_sq)
+    re_sum, im_sum, sq_sum = re.sum(axis=0), im.sum(axis=0), phase_sq.sum(axis=0)
+    if n_grid == 1:
+        # numpy sums one column pairwise, and pairs a complex column's
+        # parts unlike a real one's: sum the phasors as complex numbers.
+        phasors = np.empty((n, 1), dtype=complex)
+        phasors.real, phasors.imag = re, im
+        mean = phasors.sum(axis=0)
+    else:
+        mean = np.empty(n_grid, dtype=complex)
+        mean.real, mean.imag = re_sum, im_sum
+    # Divided as a complex array, as numpy's mean divides: complex / n
+    # multiplies both parts by 1/n, which can differ from re_sum / n.
+    np.true_divide(mean, n, out=mean)
 
     return EnsembleCoherence(
         times=grid_idx * dt,
-        mean_coherence=phasors.mean(axis=0),
-        std_error=standard_error(phasors.real),
-        im_std_error=standard_error(phasors.imag),
-        mean_phase_sq=phase_sq.mean(axis=0),
-        std_error_phase_sq=standard_error(phase_sq),
+        mean_coherence=mean,
+        std_error=_blockwise_standard_error(re, re_sum),
+        im_std_error=_blockwise_standard_error(im, im_sum),
+        mean_phase_sq=sq_sum / n,
+        std_error_phase_sq=_blockwise_standard_error(phase_sq, sq_sum),
         n_trajectories=plan.n_trajectories,
     )
 

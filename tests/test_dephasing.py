@@ -2,6 +2,9 @@
 
 import io
 import math
+import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +185,24 @@ class TestDecoherenceTime:
     def test_markovian_rate_underflow_is_infinite(self):
         corr = ExponentialCorrelation(1e-200, 1e-200)
         assert decoherence_time(corr, "markovian") == math.inf
+
+    def test_markovian_time_is_rounded_once_where_the_rate_is_subnormal(self):
+        # 1.0 / (variance * tau_c) would carry the digits the subnormal
+        # rate lost (up to 4 ulps); against the exact rational the time is
+        # within half an ulp, and inf where the rational exceeds float range.
+        rng = random.Random(20)
+        for _ in range(2000):
+            e_rate = rng.uniform(-1029.0, -1022.01)
+            e_variance = rng.uniform(-1040.0, 40.0)
+            corr = ExponentialCorrelation(2.0 ** e_variance, 2.0 ** (e_rate - e_variance))
+            assert 0.0 < corr.variance * corr.tau_c < sys.float_info.min
+            exact = 1 / (Fraction(corr.variance) * Fraction(corr.tau_c))
+            time = decoherence_time(corr, "markovian")
+            if exact >= 2 ** 1024:
+                assert time == math.inf, corr
+            else:
+                ulps = float(abs(Fraction(time) - exact) / Fraction(math.ulp(time)))
+                assert ulps <= 0.5, (corr, ulps)
 
     def test_markovian_rejects_static_noise(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,14 @@
 
 The digests were recorded from the 256-trajectory sampler.  Each
 montecarlo invocation spans more than one block of 1024 trajectories, so
-a change to the blocking, to the in-place phasors or to the (seed, i)
-stream that moves any byte shows here as a changed digest.
+a change to the blocking, to the reduction or to the (seed, i) stream
+that moves any byte shows here as a changed digest.  The reduction's own
+parts are checked against their references below: cos and sin against
+the complex exp, the blockwise standard error against standard_error.
 """
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -116,3 +119,105 @@ class TestBlockSize:
         rows = np.empty((30, 50))
         montecarlo._sample_phases(plan, transitions, 10, 20, out=rows[10:20])
         assert rows[10:20].tobytes() == alone.tobytes()
+
+
+def _phases(plan, n_grid):
+    """Every trajectory's phases, as ensemble_coherence samples them."""
+    grid = montecarlo._output_indices(plan.n_steps, n_grid)
+    steps = np.diff(grid, prepend=0).tolist()
+    transitions = [montecarlo._transition(plan.correlation, s * plan.dt) for s in steps]
+    return montecarlo._sample_phases(plan, transitions, 0, plan.n_trajectories)
+
+
+def _plan_and_grid(argv):
+    """The plan and output-grid size of a montecarlo argv."""
+    options = dict(zip(argv.split()[::2], argv.split()[1::2]))
+    correlation = ExponentialCorrelation(
+        float(options["--variance"]), float(options["--tau-c"])
+    )
+    plan = SimulationPlan(
+        correlation,
+        float(options["--t-max"]),
+        int(options["--n-steps"]),
+        int(options["--n-trajectories"]),
+        int(options["--seed"]),
+    )
+    return plan, int(options.get("--grid-points", 50))
+
+
+@pytest.mark.parametrize("name", sorted(MONTECARLO_DIGESTS))
+def test_cos_and_sin_are_the_bits_of_the_complex_exp(name):
+    phases = _phases(*_plan_and_grid(MONTECARLO_DIGESTS[name][0]))
+    assert not np.signbit(phases[phases == 0.0]).any()
+    phasors = np.exp(1j * phases)
+    message = (
+        "np.cos/np.sin differ from np.exp(1j * x) in the last bits: this"
+        " platform's libm (or numpy's SIMD path for them) rounds them apart,"
+        " so ensemble_coherence no longer gives the pinned bytes here"
+    )
+    assert np.cos(phases).tobytes() == phasors.real.tobytes(), message
+    assert np.sin(phases).tobytes() == phasors.imag.tobytes(), message
+
+
+@pytest.mark.parametrize("n_grid", [1, 2, 50])
+def test_reduction_gives_the_bits_of_the_full_size_reduction(n_grid):
+    # The reduction as it was before the blockwise pass: complex phasors
+    # and numpy's mean and standard_error over the whole arrays.
+    plan = SimulationPlan(ExponentialCorrelation(1.0, 2e6), 2.0, 200, 1025, 13)
+    phases = _phases(plan, n_grid)
+    phasors = np.exp(1j * phases)
+    phase_sq = phases * phases
+    expected = {
+        "mean_coherence": phasors.mean(axis=0),
+        "std_error": montecarlo.standard_error(phasors.real),
+        "im_std_error": montecarlo.standard_error(phasors.imag),
+        "mean_phase_sq": phase_sq.mean(axis=0),
+        "std_error_phase_sq": montecarlo.standard_error(phase_sq),
+    }
+    result = ensemble_coherence(plan, n_grid)
+    for name in FIELDS:
+        assert getattr(result, name).tobytes() == expected[name].tobytes(), name
+
+
+def test_reduction_adds_one_buffer_to_the_result_arrays():
+    # The phases' cosines and sines are formed after sampling, beside the
+    # phases squared in place, and the standard errors stream through one
+    # buffer: no temporary of the ensemble's size is left beside them.
+    n, n_grid = 10_000, 50
+    plan = SimulationPlan(ExponentialCorrelation(1.0, 2e6), 2.0, 200, n, 5)
+    ensemble_coherence(plan)  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        ensemble_coherence(plan, n_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    results = 3 * n * n_grid * 8
+    buffer = montecarlo._REDUCE_ROWS * n_grid * 8
+    # A broadcast subtraction, blockwise as the full-size samples - mean
+    # was, makes numpy allocate its own ufunc buffer of at most
+    # np.getbufsize() doubles.
+    ufunc_buffer = min(montecarlo._REDUCE_ROWS * n_grid, np.getbufsize()) * 8
+    assert peak <= results + buffer + ufunc_buffer + 64 * 1024
+
+
+ROWS = montecarlo._REDUCE_ROWS
+COLUMNS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "constant": lambda rng, n: np.full(n, 0.1),
+    "large": lambda rng, n: 1e150 * (1.0 + rng.standard_normal(n)),
+    "small": lambda rng, n: 1e-150 * (1.0 + rng.standard_normal(n)),
+}
+LAYOUTS = {kind: (kind,) for kind in COLUMNS}
+LAYOUTS["mixed"] = tuple(itertools.islice(itertools.cycle(COLUMNS), 50))
+
+
+class TestBlockwiseStandardError:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("n", [1, 2, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+    def test_bits_of_standard_error(self, n, layout):
+        rng = np.random.default_rng(n)
+        samples = np.stack([COLUMNS[kind](rng, n) for kind in LAYOUTS[layout]], axis=1)
+        expected = montecarlo.standard_error(samples)
+        result = montecarlo._blockwise_standard_error(samples, samples.sum(axis=0))
+        assert result.tobytes() == expected.tobytes()

@@ -32,8 +32,9 @@ HUGE = sys.float_info.max
 def bisection_time(correlation):
     """The unit-gamma branch as it was before the Newton root: every step evaluates Gamma.
 
-    Gamma is 0 at every finite t where variance * tau_c underflows to 0, and
-    a doubling that reaches inf finds no root in float range: both give inf.
+    Where variance * tau_c underflows to 0, Gamma < variance tau_c t stays
+    under 1 at every finite t, and a doubling that reaches inf finds no root
+    in float range: both give inf.
     """
     if correlation.variance * correlation.tau_c == 0.0:
         return math.inf
