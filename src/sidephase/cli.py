@@ -5,6 +5,15 @@ number in every report comes from a library call; this module only
 parses arguments, routes, and serializes JSON.  CSV tables are written by
 dephasing.write_csv.
 
+Commands compute, main writes.  main opens every output the command was
+given.  The command then computes all of its outputs and returns them as
+(path, output) pairs in option order, each output either text (JSON is
+encoded by then) or a function that writes a CSV table.  Only then does
+main write them, in that order, to stdout where the path is None.  A run
+that fails removes the files it created, and leaves an existing file it
+had not yet written as it was.  stdout carries only data; errors and
+warnings go to stderr.
+
 Exit codes: 0 success, 2 usage or config error, 3 simulation plan
 rejected (the message names the smallest adequate n_steps).
 """
@@ -12,6 +21,7 @@ rejected (the message names the smallest adequate n_steps).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -46,7 +56,14 @@ from .dephasing import (
 from .mechanisms import PHONON_MODES, channel_to_correlation, phonon_rate
 
 if TYPE_CHECKING:
+    from typing import Callable, TextIO
+
     import numpy as np
+
+    # Text (JSON already encoded) or a function that writes a CSV table;
+    # a command returns them with their paths, None for stdout.
+    Output = str | Callable[[TextIO], None]
+    Outputs = list[tuple[str | None, Output]]
 
 __all__ = ["main"]
 
@@ -69,18 +86,18 @@ def _json_text(payload) -> str:
     return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """text to path, or to stdout without one."""
-    if not path:
-        sys.stdout.write(text)
-        return
-    with open(path, "w") as fh:
-        fh.write(text)
+def _write(path: str | None, output: Output) -> None:
+    """One output to path, or to stdout without one."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(output, str):
+            fh.write(output)
+        else:
+            output(fh)
 
 
 def _write_json(path: str | None, payload) -> None:
     """Strict JSON to path, or to stdout without one."""
-    _write_text(path, _json_text(payload))
+    _write(path, _json_text(payload))
 
 
 def _open_outputs(args: argparse.Namespace, created: list[str]) -> None:
@@ -148,40 +165,34 @@ def _constants_payload() -> dict:
     }
 
 
-def cmd_constants(args: argparse.Namespace) -> int:
-    _write_json(args.out, _constants_payload())
-    return 0
+def cmd_constants(args: argparse.Namespace) -> Outputs:
+    return [(args.out, _json_text(_constants_payload()))]
 
 
-def _channel_report(kind: str, channel, convention: str) -> dict:
+def _report(kind: str, channel, convention: str) -> dict:
+    """The channel's report; finite inputs too large for float arithmetic
+    are a usage error that names the channel."""
+    parameters = {key: getattr(channel, key) for key in PARAMS[kind]}
+    report: dict = {"channel": kind, "parameters": parameters}
     try:
-        return _report(kind, channel, convention)
+        if kind == "phonon":
+            rates = {mode: phonon_rate(channel, mode) for mode in PHONON_MODES}
+            report["rates_per_s"] = rates
+            rate_exact = rates["exact-integral"]
+            td = math.inf if rate_exact == 0.0 else 1.0 / rate_exact
+            report["decoherence_time_s"] = td
+            report["flags"] = {
+                "insignificant": rate_exact < INSIGNIFICANT_RATE,
+                "low_temperature_valid": channel.low_temperature_valid,
+                "infinite_decoherence_time": math.isinf(td),
+            }
+            return report
+        correlation = channel_to_correlation(channel)
+        times = {name: decoherence_time(correlation, name) for name in CONVENTIONS}
     except OverflowError:
         raise UsageError(
             f"{kind} channel: an input is too large for float arithmetic"
         ) from None
-
-
-def _report(kind: str, channel, convention: str) -> dict:
-    parameters = {key: getattr(channel, key) for key in PARAMS[kind]}
-    report: dict = {"channel": kind, "parameters": parameters}
-    if kind == "phonon":
-        rates = {mode: phonon_rate(channel, mode) for mode in PHONON_MODES}
-        report["rates_per_s"] = rates
-        rate_exact = rates["exact-integral"]
-        td = math.inf if rate_exact == 0.0 else 1.0 / rate_exact
-        report["decoherence_time_s"] = td
-        report["flags"] = {
-            "insignificant": rate_exact < INSIGNIFICANT_RATE,
-            "low_temperature_valid": channel.low_temperature_valid,
-            "infinite_decoherence_time": math.isinf(td),
-        }
-        return report
-
-    correlation = channel_to_correlation(channel)
-    times = {
-        name: decoherence_time(correlation, name) for name in CONVENTIONS
-    }
     report["variance_rad2_per_s2"] = correlation.variance
     report["correlation_time_s"] = correlation.tau_c
     report["decoherence_time_s"] = times
@@ -225,7 +236,7 @@ def _profile_for(
     return times, gamma_values
 
 
-def cmd_channel(args: argparse.Namespace) -> int:
+def cmd_channel(args: argparse.Namespace) -> Outputs:
     if args.profile_out and args.t_max is None:
         raise UsageError("--profile-out requires --t-max")
     if args.t_max is not None and not 0.0 < args.t_max < math.inf:
@@ -233,14 +244,12 @@ def cmd_channel(args: argparse.Namespace) -> int:
     if args.t_points < 2:
         raise UsageError("--t-points must be at least 2")
     channel = build_channel(args.kind, _config_section(args.config, args.kind))
-    report = _channel_report(args.kind, channel, args.convention)
-    if args.profile_out:
-        profile = _profile_for(report, args.t_max, args.t_points)
-    _write_json(args.out, report)
-    if args.profile_out:
-        with open(args.profile_out, "w", newline="") as fh:
-            write_profile_csv(fh, *profile)
-    return 0
+    report = _report(args.kind, channel, args.convention)
+    profile = args.profile_out and _profile_for(report, args.t_max, args.t_points)
+    outputs: Outputs = [(args.out, _json_text(report))]
+    if profile:
+        outputs.append((args.profile_out, lambda fh: write_profile_csv(fh, *profile)))
+    return outputs
 
 
 def _sweep_row(spec: SweepSpec, value: float) -> dict:
@@ -252,7 +261,7 @@ def _sweep_row(spec: SweepSpec, value: float) -> dict:
     else:
         params[spec.param] = value
     channel = build_channel(spec.kind, params)
-    report = _channel_report(spec.kind, channel, "static")
+    report = _report(spec.kind, channel, "static")
     if spec.kind == "phonon":
         return {
             spec.param: value,
@@ -276,34 +285,19 @@ def _sweep_row(spec: SweepSpec, value: float) -> dict:
     return row
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Outputs:
     fixed = _config_section(args.config, args.channel)
     # parse_grid returns grid_min, grid_max, count and scale, in field order.
     spec = SweepSpec(args.channel, args.param, *parse_grid(args.grid), fixed)
     rows = [_sweep_row(spec, float(v)) for v in grid_values(spec)]
     if args.format == "json":
-        _write_json(args.out, rows)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            write_csv(fh, list(rows[0]), *zip(*(row.values() for row in rows)))
-    return 0
+        return [(args.out, _json_text(rows))]
+    columns = list(rows[0]), *zip(*(row.values() for row in rows))
+    return [(args.out, lambda fh: write_csv(fh, *columns))]
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> int:
+def cmd_montecarlo(args: argparse.Namespace) -> Outputs:
     # The ensemble engine, and numpy with it, load only for this command.
-    from .montecarlo import DegenerateStatisticsError, PlanRejectedError
-
-    try:
-        return _montecarlo(args)
-    except PlanRejectedError as exc:
-        print(f"plan rejected: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateStatisticsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _montecarlo(args: argparse.Namespace) -> int:
     from .montecarlo import SimulationPlan, compare_to_analytic, ensemble_coherence
 
     seed = _resolve_seed(args.seed)
@@ -327,10 +321,18 @@ def _montecarlo(args: argparse.Namespace) -> int:
         )
     result = ensemble_coherence(plan, n_grid=args.grid_points, n_workers=args.workers)
     comparison = compare_to_analytic(result, reference)
-    # Encoded before the CSV is written, so a summary that cannot be
-    # encoded leaves an existing --out as it was.
-    summary = args.summary_out and _json_text(
-        {
+    table = (
+        ("t", "re_mean", "im_mean", "std_error", "analytic_envelope", "z"),
+        result.times,
+        result.mean_coherence.real,
+        result.mean_coherence.imag,
+        result.std_error,
+        comparison.analytic_envelope,
+        comparison.z_scores,
+    )
+    outputs: Outputs = [(args.out, lambda fh: write_csv(fh, *table))]
+    if args.summary_out:
+        summary = {
             "max_z": comparison.max_z,
             "n_trajectories": plan.n_trajectories,
             "n_steps": plan.n_steps,
@@ -340,29 +342,16 @@ def _montecarlo(args: argparse.Namespace) -> int:
             "master_seed": plan.master_seed,
             "mismatch_tau_c": args.mismatch_tau_c,
         }
-    )
-    with open(args.out, "w", newline="") as fh:
-        write_csv(
-            fh,
-            ("t", "re_mean", "im_mean", "std_error", "analytic_envelope", "z"),
-            result.times,
-            result.mean_coherence.real,
-            result.mean_coherence.imag,
-            result.std_error,
-            comparison.analytic_envelope,
-            comparison.z_scores,
-        )
-    if summary:
-        _write_text(args.summary_out, summary)
-    return 0
+        outputs.append((args.summary_out, _json_text(summary)))
+    return outputs
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def cmd_audit(args: argparse.Namespace) -> Outputs:
     entries = build_audit()
-    sys.stdout.write(render_table(entries) + "\n")
+    outputs: Outputs = [(None, render_table(entries) + "\n")]
     if args.out:
-        _write_json(args.out, [entry.__dict__ for entry in entries])
-    return 0
+        outputs.append((args.out, _json_text([entry.__dict__ for entry in entries])))
+    return outputs
 
 
 @functools.cache
@@ -448,13 +437,18 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             _open_outputs(args, created)
-            code = args.func(args)
+            for path, output in args.func(args):  # every output computed first
+                _write(path, output)
+            code = 0
         except (ValueError, OverflowError, MemoryError, OSError) as exc:
-            # UsageError, the library's argument checks, finite inputs too large
-            # for float arithmetic, arrays too large to allocate and output paths
-            # that cannot be written alike: exit 2.
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
+            # UsageError, the library's argument checks, degenerate statistics,
+            # finite inputs too large for float arithmetic, arrays too large to
+            # allocate and output paths that cannot be written alike: exit 2.
+            # A coarse plan exits 3; montecarlo is loaded whenever one is raised.
+            montecarlo = sys.modules.get(f"{__package__}.montecarlo")
+            rejected = montecarlo is not None and isinstance(exc, montecarlo.PlanRejectedError)
+            print(f"{'plan rejected' if rejected else 'error'}: {exc}", file=sys.stderr)
+            code = 3 if rejected else 2
         finally:
             if code != 0:
                 # A run that fails or is interrupted leaves only its message:

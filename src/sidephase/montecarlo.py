@@ -98,8 +98,12 @@ class PlanRejectedError(ValueError):
         self.required_n_steps = required_n_steps
 
 
-class DegenerateStatisticsError(RuntimeError):
-    """Zero spread with nonzero deviation; z-scores are meaningless."""
+class DegenerateStatisticsError(RuntimeError, ValueError):
+    """Zero spread with nonzero deviation; z-scores are meaningless.
+
+    A RuntimeError, and a ValueError so that the CLI reports it as it
+    reports every other bad input: exit 2.
+    """
 
 
 @dataclass(frozen=True)

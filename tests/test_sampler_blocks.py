@@ -45,7 +45,7 @@ MONTECARLO_DIGESTS = {
         "943c85cf15c0d628ed3320f78244205881a6ffb420b309014d3c83cea39bfb8b",
     ),
 }
-REGISTER_DIGEST = "3362cc013cda5a1085ec60888a949bf57716fed51d2f3260015b054d135e6cf7"
+REGISTER_DIGEST = "c6b59f215c08e1602c31f47a60311fca0c8cd837e3a8ba8d544ca3820884cd7c"
 
 
 def _sha256(data: bytes) -> str:
