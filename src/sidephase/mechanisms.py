@@ -28,6 +28,7 @@ SILICON, CONSTANTS).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -161,28 +162,46 @@ def _debye_integrand(x: float) -> float:
     return x ** 6 * math.exp(-x) / math.expm1(-x) ** 2
 
 
+_DEBYE_BREAKS = (0.0, 2.0, 8.0, 20.0, 60.0, 200.0)
+
+
+def _debye_segment(lo: float, hi: float) -> float:
+    # Imported here, not at module level: scipy.integrate takes about a
+    # second to import, and only the exact-integral phonon rate needs it.
+    from scipy.integrate import quad
+
+    value, _ = quad(_debye_integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
+    return value
+
+
+@functools.cache
+def _debye_running_sums() -> tuple[float, ...]:
+    """The integral up to each break, as a read-only tuple built on first use.
+
+    Entry k sums the fixed segments below break k left to right from 0.0,
+    so entry 0 is 0.0.
+    """
+    sums = [0.0]
+    for lo, hi in zip(_DEBYE_BREAKS, _DEBYE_BREAKS[1:]):
+        sums.append(sums[-1] + _debye_segment(lo, hi))
+    return tuple(sums)
+
+
 def debye_integral(u: float) -> float:
     """integral_0^u x^6 e^x/(e^x - 1)^2 dx.
 
     Tends to 6! zeta(6) = 720 pi^6/945 ~ 732.487 as u -> inf and to u^5/5
     for small u.  Piecewise adaptive quadrature; the integrand peaks near
-    x ~ 6 and the segments keep that bump resolved for any u.
+    x ~ 6 and the breaks 0, 2, 8, 20, 60 and 200 keep that bump resolved
+    for any u.  The fixed segments [0, 2], [2, 8], [8, 20], [20, 60] and
+    [60, 200] do not depend on u: their quadratures are made once, on first
+    use, and summed left to right from 0.0.  Each call adds to the sum of
+    the segments below u one quadrature, from the last break below u to u.
     """
-    # Imported here, not at module level: scipy.integrate takes about a
-    # second to import, and only the exact-integral phonon rate needs it.
-    from scipy.integrate import quad
-
-    if u <= 0.0:
+    if not u > 0.0:
         raise ValueError("u must be positive")
-    breaks = [0.0, 2.0, 8.0, 20.0, 60.0, 200.0]
-    points = [b for b in breaks if b < u] + [u]
-    total = 0.0
-    for lo, hi in zip(points[:-1], points[1:]):
-        value, _ = quad(
-            _debye_integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200
-        )
-        total += value
-    return total
+    k = sum(b < u for b in _DEBYE_BREAKS) - 1
+    return _debye_running_sums()[k] + _debye_segment(_DEBYE_BREAKS[k], u)
 
 
 _PHONON_FACTORIAL_6 = 720.0  # 6!, the u -> inf approximation without zeta(6)

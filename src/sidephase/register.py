@@ -48,11 +48,31 @@ def error_unitary(e: tuple[float, float, float]) -> np.ndarray:
     )
 
 
+def _ground_entries(e: tuple[float, float, float]) -> tuple:
+    """rho00, rho11 and rho01's real and imaginary parts of U |0><0| U-dagger.
+
+    Each is a real product sum of column 0's real and imaginary parts; rho10
+    is the conjugate of rho01.  Real multiplies and adds round alike on every
+    numpy SIMD path, where the complex multiply does not (with numpy 2.4,
+    rho00's imaginary part came out 1e-20 on the AVX2 and AVX-512 loops and
+    0 on the baseline ones), so the bits do not depend on the dispatch.
+    Floats for one e, arrays of n for n copies.
+    """
+    column = error_unitary(e)[:, 0]
+    re, im = column.real, column.imag
+    return (
+        re[0] * re[0] + im[0] * im[0],
+        re[1] * re[1] + im[1] * im[1],
+        re[0] * re[1] + im[0] * im[1],
+        im[0] * re[1] - re[0] * im[1],
+    )
+
+
 def perturbed_ground_state(e: tuple[float, float, float]) -> DensityMatrix:
     """U |0><0| U-dagger as a validated density matrix."""
-    column = error_unitary(e)[:, 0]
-    rho = np.outer(column, column.conj())
-    return DensityMatrix(rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1])
+    rho00, rho11, re01, im01 = _ground_entries(e)
+    rho01 = complex(re01, im01)
+    return DensityMatrix(complex(rho00), rho01, rho01.conjugate(), complex(rho11))
 
 
 def error_probability(e: tuple[float, float, float]) -> float:
@@ -127,24 +147,14 @@ def ensemble_average_state(sampler: ErrorSampler, n: int) -> EnsembleErrorReport
     """Average the perturbed ground states of copies 0..n-1 of the sampler.
 
     The copies are drawn as one block and averaged as arrays: the mean of
-    perturbed_ground_state(sampler.sample(i)) over i.  Each entry is the
-    mean of real products of column 0's real and imaginary parts, and
-    rho10 is the conjugate of rho01.  Real multiplies and adds round alike
-    on every numpy SIMD path, where the complex multiply does not (with
-    numpy 2.4, rho00's imaginary part came out 1e-20 on the AVX2 and
-    AVX-512 loops and 0 on the baseline ones), so the bits do not depend
-    on the dispatch.
+    perturbed_ground_state(sampler.sample(i)) over i, entry by entry of
+    _ground_entries, so the bits do not depend on numpy's SIMD dispatch.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     e = tuple((np.asarray(sampler.sigma) * index_normals(sampler.seed, 0, n, 3)).T)
-    column = error_unitary(e)[:, 0]
-    re, im = column.real, column.imag
-    rho00 = (re[0] * re[0] + im[0] * im[0]).mean()
-    rho11 = (re[1] * re[1] + im[1] * im[1]).mean()
-    rho01 = complex(
-        (re[0] * re[1] + im[0] * im[1]).mean(), (im[0] * re[1] - re[0] * im[1]).mean()
-    )
+    rho00, rho11, re01, im01 = (entry.mean() for entry in _ground_entries(e))
+    rho01 = complex(re01, im01)
     probabilities = error_probability(e)
     averaged = DensityMatrix(complex(rho00), rho01, rho01.conjugate(), complex(rho11))
     return EnsembleErrorReport(

@@ -20,7 +20,12 @@ from sidephase import montecarlo
 from sidephase.cli import main
 from sidephase.dephasing import ExponentialCorrelation
 from sidephase.montecarlo import SimulationPlan, ensemble_coherence
-from sidephase.register import ErrorSampler, ensemble_average_state
+from sidephase.register import (
+    ErrorSampler,
+    ensemble_average_state,
+    ground_fidelity,
+    perturbed_ground_state,
+)
 
 FIELDS = ("mean_coherence", "std_error", "im_std_error", "mean_phase_sq", "std_error_phase_sq")
 
@@ -46,6 +51,8 @@ MONTECARLO_DIGESTS = {
     ),
 }
 REGISTER_DIGEST = "c6b59f215c08e1602c31f47a60311fca0c8cd837e3a8ba8d544ca3820884cd7c"
+# perturbed_ground_state's entries, then ground_fidelity, at 2,000 seeded e.
+SINGLE_STATE_DIGEST = "98d00e434d3c6342f8b9c810411d5c75f541d67eab982922e4737746f2365f34"
 
 
 def _sha256(data: bytes) -> str:
@@ -79,6 +86,13 @@ def test_montecarlo_bytes_are_pinned(tmp_path, name):
 def test_register_report_bytes_are_pinned():
     report = ensemble_average_state(ErrorSampler((0.02,) * 3, 5), 3000)
     assert _sha256(_register_bytes(report)) == REGISTER_DIGEST
+
+
+def test_single_state_bytes_are_pinned():
+    errors = [tuple(e) for e in np.random.default_rng(3).normal(0.0, 0.5, (2000, 3)).tolist()]
+    states = np.array([perturbed_ground_state(e).as_rows() for e in errors])
+    fidelities = np.array([ground_fidelity(e) for e in errors])
+    assert _sha256(states.tobytes() + fidelities.tobytes()) == SINGLE_STATE_DIGEST
 
 
 class TestBlockSize:
