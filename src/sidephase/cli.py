@@ -95,11 +95,6 @@ def _write(path: str | None, output: Output) -> None:
             output(fh)
 
 
-def _write_json(path: str | None, payload) -> None:
-    """Strict JSON to path, or to stdout without one."""
-    _write(path, _json_text(payload))
-
-
 def _open_outputs(args: argparse.Namespace, created: list[str]) -> None:
     """Open every output the command was given, before it runs.
 

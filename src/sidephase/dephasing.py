@@ -11,7 +11,7 @@ motional-narrowing limit is Gamma = variance tau_c t.
 gamma_exact, coherence_envelope and the profile writer also take float64
 arrays and give the same bits as the float path element by element:
 numpy's + - * / round exactly as Python floats do, and the libm calls
-(exp, expm1, pow) go through math, because numpy's own versions differ
+(exp, expm1) go through math, because numpy's own versions differ
 from them in the last bit.  Only a positive normal scale variance*tau_c^2
 is vectorized; other scales run the float path.  Both paths sum the
 kernel's small-x series in one function, _series.  numpy is imported where
@@ -43,7 +43,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 if TYPE_CHECKING:
@@ -68,12 +67,15 @@ __all__ = [
 # Decoherence-time conventions, see decoherence_time.
 CONVENTIONS = ("static", "markovian", "unit-gamma")
 
-# Below this t/tau_c the closed form loses digits to cancellation and the
-# quartic series is used instead (its truncation error there is ~1e-20
-# relative, so the branches join far tighter than the 1e-12 requirement).
+# Below this x = t/tau_c, where x^2 may underflow, an overflowing scale's
+# Gamma is formed as variance t^2 (1/2 - x/6 + x^2/24); its truncation
+# error there is ~1e-20 relative.
 _SERIES_SWITCH = 1e-6
 # Below this x the kernel x - 1 + exp(-x) is summed as a series.
 _KERNEL_SWITCH = 0.05
+# The series' divisors -n for terms n = 3..11, as floats: x / -n has the
+# bits of -x / n without an int conversion or a negation per term.
+_SERIES_DIVISORS = tuple(-float(n) for n in range(3, 12))
 # The unit-gamma Newton run stops once a step moves x by at most this
 # (relative), and gives up after this many steps.  Near x = 0.05 the
 # kernel's rounding alone moves steps by ~2e-15, so a tighter stop could
@@ -127,11 +129,9 @@ class ExponentialCorrelation:
 def _gamma_kernel(x):
     """x - 1 + exp(-x), accurate to ~1e-15 relative for all x >= 0.
 
-    Plain x + expm1(-x) keeps only ~x/eps digits once x is small: below
-    1e-6 the quartic is used, and below 0.05 the series of _series.
+    Plain x + expm1(-x) keeps only ~x/eps digits once x is small, so
+    below 0.05 the series of _series is summed instead.
     """
-    if x < _SERIES_SWITCH:
-        return x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0
     if x < _KERNEL_SWITCH:
         return _series(x)
     return x + math.expm1(-x)
@@ -145,11 +145,17 @@ def _series(x):
     and every smaller one after it, is under half an ulp of the total and
     leaves the rounded sum unchanged; and at x < 0.05 term 11 is already
     below 1e-19 of the total, so every x reaches that stop by n = 11.
+
+    The first term is x * x / 2.0, rounded as in the quartic
+    x^2/2 - x^3/6 + x^4/24, so below x = 1e-6 the sum gives the quartic's
+    bits.  0.5 * x * x rounds alike while x^2 is a normal float, but where
+    x^2 is subnormal (x below ~1.5e-154, where the later terms vanish) it
+    rounds once, not twice, and can differ from the quartic by an ulp.
     """
-    term = 0.5 * x * x
+    term = x * x / 2.0
     total = term
-    for n in range(3, 12):
-        term = term * (-x / n)
+    for n in _SERIES_DIVISORS:
+        term = term * (x / n)
         total = total + term
     return total
 
@@ -190,17 +196,9 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         x = t / correlation.tau_c
         kernel = np.empty_like(x)
-        poly = x < _SERIES_SWITCH
         small = x < _KERNEL_SWITCH
-        series = small & ~poly
         closed = ~small
-        xp = x[poly]
-        kernel[poly] = (
-            xp * xp / 2.0
-            - _libm(math.pow, xp, repeat(3.0)) / 6.0
-            + _libm(math.pow, xp, repeat(4.0)) / 24.0
-        )
-        kernel[series] = _series(x[series])
+        kernel[small] = _series(x[small])
         xc = x[closed]
         kernel[closed] = xc + _libm(math.expm1, -xc)
         lost = (kernel < sys.float_info.min) & (scale > 2.0)  # as in the float path
@@ -417,12 +415,10 @@ def check_profile(times: np.ndarray, gamma_values: np.ndarray) -> None:
         raise ValueError("times and gamma_values must not be NaN")
     if (times < 0.0).any() or (times[1:] <= times[:-1]).any():
         raise ValueError("times must be nonnegative and increasing")
-    # The first value is held to the same tolerance against -1e-15.
-    previous = np.concatenate(([-1e-15], gamma_values[:-1]))
-    if (gamma_values < previous - 1e-15).any():
-        raise ValueError("gamma_values must be nondecreasing")
     if (gamma_values < 0.0).any():
         raise ValueError("gamma_values must be nonnegative")
+    if (gamma_values[1:] < gamma_values[:-1] - 1e-15).any():
+        raise ValueError("gamma_values must be nondecreasing")
 
 
 def write_csv(stream: TextIO, header: Sequence[str], *columns) -> None:

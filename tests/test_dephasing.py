@@ -173,6 +173,41 @@ class TestSeriesOracle:
         assert gamma_exact(corr, self.xs).tolist() == expected
 
 
+def quartic(x):
+    """Gamma's kernel x^2/2 - x^3/6 + x^4/24, the reference below x = 1e-6."""
+    return x * x / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0
+
+
+class TestKernelWithoutPow:
+    """Below 0.05 the kernel is the series alone, with no libm pow call."""
+
+    def test_hyperfine_array_makes_no_pow_calls(self, monkeypatch):
+        calls = []
+        pow_ = math.pow
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow_(*args)
+
+        monkeypatch.setattr(math, "pow", counting_pow)
+        corr = ExponentialCorrelation(1227826.056654865, 1e4)
+        gamma = gamma_exact(corr, np.linspace(0.0, 4e-3, 100_000))
+        assert gamma.shape == (100_000,)
+        assert len(calls) == 0
+
+    def test_subnormal_square_keeps_the_quartic_bits(self):
+        # Where x^2 is subnormal, x * x / 2.0 rounds twice as the quartic
+        # does; 0.5 * x * x would round once and differ on some of these.
+        rng = np.random.default_rng(23)
+        xs = np.concatenate(
+            (10.0 ** rng.uniform(-162.0, -152.0, 10_000), [0.0, -0.0, 5e-324])
+        )
+        corr = ExponentialCorrelation(1.7, 1.0)
+        expected = [1.7 * quartic(x) for x in xs.tolist()]
+        assert [gamma_exact(corr, x) for x in xs.tolist()] == expected
+        assert gamma_exact(corr, xs).tolist() == expected
+
+
 class TestDecoherenceTime:
     def test_static_convention(self):
         corr = ExponentialCorrelation(1e6, math.inf)
@@ -289,3 +324,7 @@ class TestProfile:
             DecoherenceProfile(times=(0.1,), gamma_values=(-0.5,))
         with pytest.raises(ValueError):
             DecoherenceProfile(times=(0.1, 0.2), gamma_values=(0.5,))
+
+    def test_single_negative_value_is_named_negative(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DecoherenceProfile(times=(0.1,), gamma_values=(-0.5,))

@@ -14,7 +14,7 @@ import mpmath
 import pytest
 
 from sidephase import cli, mechanisms, montecarlo
-from sidephase.cli import _write_json, main
+from sidephase.cli import _json_text, main
 from sidephase.config import CHANNELS, PARAMS
 from sidephase.dephasing import ExponentialCorrelation, gamma_exact
 from sidephase.mechanisms import NuclearImpurityChannel, ParamagneticImpurityChannel
@@ -86,17 +86,17 @@ class TestCorrelationAndPlan:
 
 
 class TestJsonWriter:
-    def test_infinity_becomes_null(self, capsys):
-        _write_json(None, {"t": math.inf, "rows": [(1.0, -math.inf)], "ok": True})
-        assert json.loads(capsys.readouterr().out) == {
+    def test_infinity_becomes_null(self):
+        text = _json_text({"t": math.inf, "rows": [(1.0, -math.inf)], "ok": True})
+        assert json.loads(text) == {
             "t": None,
             "rows": [[1.0, None]],
             "ok": True,
         }
 
-    def test_nan_is_refused(self, tmp_path):
+    def test_nan_is_refused(self):
         with pytest.raises(ValueError):
-            _write_json(str(tmp_path / "x.json"), {"t": math.nan})
+            _json_text({"t": math.nan})
 
 
 class TestCliExitsTwo:
