@@ -1,63 +1,17 @@
 """Pure-dephasing decoherence estimates for silicon spin registers.
 
 Importing the package loads the constants, the qubit algebra, the dephasing
-functional, the channels and the audit, none of which needs numpy.  The
-montecarlo and register modules and their names (the ensemble engine and
-the register error model) are imported, with numpy, on first access.
+functional, the channels and the audit, none of which needs numpy, and
+exports every name in their __all__.  The montecarlo and register modules
+and their names (the ensemble engine and the register error model) are
+imported, with numpy, on first access.
 """
 
-from .constants import (
-    CONSTANTS,
-    ELECTRON,
-    NATURAL_SI29_ABUNDANCE_PERCENT,
-    PHOSPHORUS_31,
-    SILICON,
-    SILICON_29,
-    SPECIES,
-    MaterialParams,
-    PhysicalConstants,
-    SpinSpecies,
-    boltzmann_ratio,
-    spin_half_variance,
-    spin_half_variance_full_arg,
-)
-from .qubit import (
-    BlochState,
-    DensityMatrix,
-    apply_dephasing,
-    dephased_eigenvalues,
-    density_from_bloch,
-    fidelity,
-    limiting_populations,
-)
-from .dephasing import (
-    DecoherenceProfile,
-    ExponentialCorrelation,
-    build_profile,
-    coherence_envelope,
-    decoherence_time,
-    gamma_exact,
-    gamma_static,
-)
-from .mechanisms import (
-    ConcentrationBound,
-    HyperfineElectronChannel,
-    NuclearImpurityChannel,
-    ParamagneticImpurityChannel,
-    PhononRamanChannel,
-    ThresholdUnattainableError,
-    UnsupportedChannelError,
-    channel_to_correlation,
-    debye_integral,
-    hyperfine_variance,
-    max_nuclear_impurity_concentration,
-    max_paramagnetic_concentration,
-    nuclear_impurity_variance,
-    paramagnetic_variance,
-    phonon_rate,
-    required_field_temperature_ratio,
-)
-from .audit import AuditEntry, build_audit, render_table
+from .constants import *
+from .qubit import *
+from .dephasing import *
+from .mechanisms import *
+from .audit import *
 
 __version__ = "0.1.0"
 

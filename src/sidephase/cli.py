@@ -309,11 +309,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> Outputs:
         n_trajectories=args.n_trajectories,
         master_seed=seed,
     )
-    reference = correlation
-    if args.mismatch_tau_c != 1.0:
-        reference = ExponentialCorrelation(
-            correlation.variance, correlation.tau_c * args.mismatch_tau_c
-        )
+    # tau_c * 1.0 is tau_c, so without a mismatch the reference is the plan's noise.
+    reference = ExponentialCorrelation(args.variance, args.tau_c * args.mismatch_tau_c)
     result = ensemble_coherence(plan, n_grid=args.grid_points, n_workers=args.workers)
     comparison = compare_to_analytic(result, reference)
     table = (

@@ -320,13 +320,16 @@ def decoherence_time(
     rate variance * tau_c that underflows to 0 (markovian and unit-gamma).
 
     unit-gamma returns the 1e-9 bisection's result: bisect_from on
-    Gamma(t) - 1 from t = variance^(-1/2) with rtol 1e-9.  Where a Newton root of Gamma = 1 is found first (a
-    positive normal variance and, unless the noise is static, scale
-    variance tau_c^2), the same doubling and bisection take each step's
-    sign from t - root and evaluate Gamma only within 1e-11 relative of
-    the root, where its rounding could decide the step.  The steps, and so
-    the result, are the same; Gamma is evaluated about twice in ten solves
-    instead of ~35 times per solve.
+    Gamma(t) - 1 from t = variance^(-1/2) with rtol 1e-9, replayed on one
+    path.  Each step takes its sign from t - root, where root is a Newton
+    root of Gamma = 1, and evaluates Gamma only within 1e-11 relative of
+    the root, where its rounding could decide the step.  The steps, and
+    so the result, are those of a bisection that evaluates Gamma at every
+    step; Gamma is evaluated about twice in ten solves instead of ~35
+    times per solve.  Where _unit_gamma_root finds none (a variance or,
+    unless the noise is static, a scale variance tau_c^2 that is not a
+    positive normal float, or a Newton run that does not settle), root is
+    NaN and Gamma is evaluated at every step.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention: {convention!r}")
@@ -355,17 +358,18 @@ def decoherence_time(
     # always exists; start from the static-limit guess and expand.
     root = _unit_gamma_root(correlation)
     if root is None:
-        def excess(t: float) -> float:
-            return gamma_exact(correlation, t) - 1.0
-    else:
-        band = _ROOT_BAND * root
+        # No comparison with NaN is true, so every step evaluates Gamma:
+        # those are the plain bisection's steps.
+        root = math.nan
+    band = _ROOT_BAND * root
 
-        def excess(t: float) -> float:
-            # Farther from the root than Gamma's rounding can move it, the
-            # sign of Gamma(t) - 1 is the sign of t - root.
-            if abs(t - root) > band:
-                return t - root
-            return gamma_exact(correlation, t) - 1.0
+    def excess(t: float) -> float:
+        # Farther from the root than Gamma's rounding can move it, the
+        # sign of Gamma(t) - 1 is the sign of t - root.
+        if abs(t - root) > band:
+            return t - root
+        return gamma_exact(correlation, t) - 1.0
+
     return bisect_from(excess, correlation.variance ** -0.5, rtol=1e-9)
 
 

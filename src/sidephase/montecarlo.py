@@ -389,8 +389,7 @@ def ensemble_coherence(
     grid_idx = _output_indices(plan.n_steps, n_grid)
     dt = plan.dt
     steps = np.diff(grid_idx, prepend=0).tolist()
-    by_steps = {s: _transition(plan.correlation, s * dt) for s in set(steps)}
-    transitions = [by_steps[s] for s in steps]
+    transitions = [_transition(plan.correlation, s * dt) for s in steps]
     n = plan.n_trajectories
     phase_sq = np.empty((n, n_grid))
     for lo in range(0, n, _BLOCK):

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from sidephase import montecarlo
 from sidephase.dephasing import ExponentialCorrelation, gamma_exact
 from sidephase.montecarlo import (
     _Q_SERIES_SWITCH,
@@ -137,10 +138,14 @@ def test_stepwise_reference_meets_the_z_limits(
     assert float(np.max(z_phase)) <= 3.0
 
 
-def test_bytes_do_not_depend_on_block_boundaries():
-    # 601 trajectories are 3 blocks of unequal size.
+def test_bytes_do_not_depend_on_block_boundaries(monkeypatch):
+    # 601 trajectories fit in one default block; blocks of 256 split them
+    # 256 + 256 + 89, and blocks of 97 into six full blocks and a last of 19.
     plan = SimulationPlan(A10, 1.0, 20_000, 601, master_seed=31)
     results = [ensemble_coherence(plan, n_grid=50, n_workers=w) for w in (1, 2, 3)]
+    for block in (256, 97):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        results.append(ensemble_coherence(plan, n_grid=50))
     fields = ("mean_coherence", "std_error", "im_std_error", "mean_phase_sq")
     fields += ("std_error_phase_sq",)
     for other in results[1:]:

@@ -172,6 +172,28 @@ def test_every_exported_name_resolves_to_its_module():
     assert lines == expected + [sidephase.__version__]
 
 
+# The modules the package imports eagerly, whose __all__ it exports.
+EAGER = ("constants", "qubit", "dephasing", "mechanisms", "audit")
+
+
+def test_package_exports_each_eager_module_all():
+    lines = _fresh(
+        "import sys\n"
+        "import sidephase\n"
+        f"for module in {EAGER!r}:\n"
+        "    source = sys.modules['sidephase.' + module]\n"
+        "    for name in source.__all__:\n"
+        "        print(module, name, getattr(sidephase, name, None) is getattr(source, name))\n"
+        f"print({HEAVY_LOADED})\n"
+    )
+    expected = [
+        f"{module} {name} True"
+        for module in EAGER
+        for name in getattr(sidephase, module).__all__
+    ]
+    assert lines == expected + ["[]"]
+
+
 def test_unknown_package_attribute_is_an_attribute_error():
     assert not hasattr(sidephase, "no_such_name")
 

@@ -59,7 +59,7 @@ t_parallel_imp = 1e4
 # sha256 of `channel <kind> --config CONFIG --profile-out ... --t-max <t_max>
 # --t-points 20001`, recorded with the scalar profile path.  Every channel
 # above has tau_c = 1e4 s; between them the grids cross t/tau_c = 1e-6 and
-# 0.05, so the quartic, series and expm1 branches are all written.
+# 0.05, so the series and expm1 branches are both written.
 GOLDEN = [
     ("hyperfine", "4e-3", "fb817a01c70e617192e0767c4ddb812ba2581c4e793149bd61a4f06eb49fb961"),
     ("hyperfine", "1e9", "7dd963674e1216d38acec8a04127564d8fcd5b00ceb8de610c18bb23f3a9dffb"),
