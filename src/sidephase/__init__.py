@@ -33,6 +33,8 @@ _LAZY = {
             "compare_to_analytic",
             "ensemble_coherence",
             "generate_trajectory",
+            "index_normals",
+            "standard_error",
         ),
         "register": (
             "register",

@@ -12,7 +12,7 @@ nowhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field
 
 __all__ = [
     "PhysicalConstants",
@@ -40,11 +40,28 @@ def _si(unit: str, default=MISSING):
     return field(default=default, metadata={"unit": unit})
 
 
-def _require_positive(record) -> None:
-    """Reject a registry record with a field that is not positive."""
-    for f in fields(record):
-        if getattr(record, f.name) <= 0.0:
-            raise ValueError(f"{f.name} must be positive")
+def _require_domain(record, nonnegative: tuple[str, ...] = ()) -> None:
+    """The input rule of every parameter record, registry and channel alike.
+
+    Each field is a number that must be finite and positive, or
+    nonnegative if named in `nonnegative`.  The comparisons are negated,
+    so NaN fails them.  A valid record costs one pass over its fields; an
+    invalid one is refused naming its non-finite fields together, else its
+    first field out of range.
+    """
+    values = vars(record)
+    for value in values.values():
+        if not 0.0 < value < math.inf:
+            break
+    else:
+        return
+    nonfinite = [name for name, value in values.items() if not math.isfinite(value)]
+    if nonfinite:
+        raise ValueError(f"{', '.join(nonfinite)} must be finite")
+    for name, value in values.items():
+        kind = "nonnegative" if name in nonnegative else "positive"
+        if not (value >= 0.0 if name in nonnegative else value > 0.0):
+            raise ValueError(f"{name} must be {kind}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +76,7 @@ class PhysicalConstants:
     mu0_over_4pi: float = _si("T^2 m^3/J", default=1e-7)
 
     def __post_init__(self) -> None:
-        _require_positive(self)
+        _require_domain(self)
 
     @property
     def mu0_cgs(self) -> float:
@@ -80,8 +97,8 @@ class SpinSpecies:
     spin: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.gamma == 0.0:
-            raise ValueError("gamma must be nonzero")
+        if not math.isfinite(self.gamma) or self.gamma == 0.0:
+            raise ValueError("gamma must be finite and nonzero")
         if self.spin != 0.5:
             raise ValueError("only spin-1/2 species are supported")
 
@@ -106,7 +123,7 @@ class MaterialParams:
     xi: float = _si("dimensionless", default=1.0)
 
     def __post_init__(self) -> None:
-        _require_positive(self)
+        _require_domain(self)
 
     @classmethod
     def from_cgs(
@@ -190,9 +207,9 @@ def boltzmann_ratio(gamma: float, field: float, temperature: float) -> float:
     Where k T underflows to 0 the ratio is beyond float range: inf, or 0
     at zero field.
     """
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise ValueError("temperature must be positive")
-    if field < 0.0:
+    if not field >= 0.0:
         raise ValueError("field must be nonnegative")
     zeeman = abs(gamma) * CONSTANTS.hbar * field
     thermal = CONSTANTS.k_boltzmann * temperature
@@ -208,7 +225,7 @@ def spin_half_variance(x: float) -> float:
     tanh(x/2) -> 1 cancellation and decays like exp(-x) for large x.
     Equals 1/4 at x = 0 and is strictly decreasing.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("x must be nonnegative")
     w = math.exp(-x)
     return w / (1.0 + w) ** 2

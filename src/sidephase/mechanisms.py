@@ -39,6 +39,7 @@ from .constants import (
     PHOSPHORUS_31,
     SILICON,
     SILICON_29,
+    _require_domain,
     boltzmann_ratio,
     spin_half_variance,
 )
@@ -78,17 +79,6 @@ class ThresholdUnattainableError(ValueError):
     """No field/temperature ratio reaches the requested target."""
 
 
-def _require_finite(channel) -> None:
-    """Reject NaN and infinite float fields; NaN passes every `x < 0` check."""
-    bad = [
-        name
-        for name, value in vars(channel).items()
-        if isinstance(value, float) and not math.isfinite(value)
-    ]
-    if bad:
-        raise ValueError(f"{', '.join(bad)} must be finite")
-
-
 @dataclass(frozen=True)
 class HyperfineElectronChannel:
     """Frequency noise from thermal flips of the donor electron.
@@ -105,11 +95,7 @@ class HyperfineElectronChannel:
     tau1: float = 1e4
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.a0 <= 0.0 or self.temperature <= 0.0 or self.tau1 <= 0.0:
-            raise ValueError("a0, temperature, and tau1 must be positive")
-        if self.field < 0.0:
-            raise ValueError("field must be nonnegative")
+        _require_domain(self, nonnegative=("field",))
 
     @property
     def x(self) -> float:
@@ -137,9 +123,7 @@ class PhononRamanChannel:
     temperature: float = 0.1
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        _require_domain(self)
 
     @property
     def t_over_theta(self) -> float:
@@ -237,11 +221,8 @@ def phonon_rate(channel: PhononRamanChannel, mode: str = "exact-integral") -> fl
 
 
 def _check_impurity(channel) -> None:
-    """The checks both impurity channels end their __post_init__ with."""
-    if channel.concentration < 0.0:
-        raise ValueError("concentration must be nonnegative")
-    if channel.field < 0.0:
-        raise ValueError("field must be nonnegative")
+    """The __post_init__ of both impurity channels."""
+    _require_domain(channel, nonnegative=("concentration", "field"))
     if channel.concentration * CUTOFF_VOLUME >= 1.0:
         warnings.warn(
             "concentration times cutoff volume >= 1; the dilute "
@@ -266,9 +247,6 @@ class ParamagneticImpurityChannel:
     tau1_imp: float = 1e4
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.temperature <= 0.0 or self.tau1_imp <= 0.0:
-            raise ValueError("temperature, tau1_imp must be positive")
         _check_impurity(self)
 
     @property
@@ -303,9 +281,6 @@ class NuclearImpurityChannel:
     t_parallel_imp: float = 1e4
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.spin_temperature <= 0.0 or self.t_parallel_imp <= 0.0:
-            raise ValueError("spin_temperature, t_parallel_imp must be positive")
         _check_impurity(self)
 
     @property
@@ -333,7 +308,7 @@ def required_field_temperature_ratio(a0: float, target_dephasing_time: float) ->
     1e-6 relative, then converts x back to a ratio.  Unattainable targets
     (faster than the unpolarized limit 2/a0) raise.
     """
-    if a0 <= 0.0 or target_dephasing_time <= 0.0:
+    if not (a0 > 0.0 and target_dephasing_time > 0.0):
         raise ValueError("a0 and target_dephasing_time must be positive")
     target_variance = target_dephasing_time ** -2
     if target_variance > a0 ** 2 * 0.25:
@@ -358,7 +333,7 @@ def max_paramagnetic_concentration(
     equals the B/T ratio.  A thermal factor that underflows to 0 leaves no
     variance, and the bound is math.inf.
     """
-    if target_dephasing_time <= 0.0 or field_temperature_ratio < 0.0:
+    if not (target_dephasing_time > 0.0 and field_temperature_ratio >= 0.0):
         raise ValueError("target must be positive and ratio nonnegative")
     unit = ParamagneticImpurityChannel(1.0, field_temperature_ratio, 1.0)
     variance = paramagnetic_variance(unit)
@@ -382,12 +357,12 @@ def max_nuclear_impurity_concentration(
     target^-2 over the variance at unit concentration.  A thermal factor
     that underflows to 0 gives ConcentrationBound(inf, inf).
     """
-    if target_dephasing_time <= 0.0:
+    if not target_dephasing_time > 0.0:
         raise ValueError("target_dephasing_time must be positive")
     unit = NuclearImpurityChannel(1.0, field, spin_temperature)
     variance = nuclear_impurity_variance(unit)
     per_m3 = math.inf if variance == 0.0 else target_dephasing_time ** -2 / variance
-    site_density = SILICON.min_distance ** -3
+    site_density = 1.0 / CUTOFF_VOLUME
     return ConcentrationBound(
         per_m3=per_m3, percent_of_sites=100.0 * per_m3 / site_density
     )

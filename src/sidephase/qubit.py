@@ -33,7 +33,7 @@ class BlochState:
     pz: float
 
     def __post_init__(self) -> None:
-        if self.norm_sq > 1.0 + _TOL:
+        if not self.norm_sq <= 1.0 + _TOL:
             raise ValueError("Bloch vector norm exceeds 1")
 
     @property
@@ -51,13 +51,14 @@ class DensityMatrix:
     rho11: complex
 
     def __post_init__(self) -> None:
-        if abs(self.rho10 - self.rho01.conjugate()) > _TOL:
+        # Negated comparisons, so that a NaN entry fails them.
+        if not abs(self.rho10 - self.rho01.conjugate()) <= _TOL:
             raise ValueError("matrix is not Hermitian")
-        if abs(self.rho00.imag) > _TOL or abs(self.rho11.imag) > _TOL:
+        if not (abs(self.rho00.imag) <= _TOL and abs(self.rho11.imag) <= _TOL):
             raise ValueError("diagonal entries must be real")
-        if abs(self.rho00 + self.rho11 - 1.0) > _TOL:
+        if not abs(self.rho00 + self.rho11 - 1.0) <= _TOL:
             raise ValueError("trace must be 1")
-        if min(self.eigenvalues()) < -_TOL:
+        if not min(self.eigenvalues()) >= -_TOL:
             raise ValueError("matrix is not positive semidefinite")
 
     def eigenvalues(self) -> tuple[float, float]:
@@ -88,7 +89,7 @@ def density_from_bloch(state: BlochState, phase: float = 0.0) -> DensityMatrix:
 
 def apply_dephasing(state: BlochState, gamma: float) -> DensityMatrix:
     """Attenuate the off-diagonals of the state's matrix by exp(-gamma)."""
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
     damp = math.exp(-gamma)
     return _with_coherence(state, 0.5 * complex(state.px, -state.py) * damp)
@@ -105,7 +106,7 @@ def dephased_eigenvalues(state: BlochState, gamma: float) -> tuple[float, float]
             "closed form requires a unit Bloch vector; "
             "use DensityMatrix.eigenvalues for mixed states"
         )
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
     transverse = state.px * state.px + state.py * state.py
     radicand = 1.0 - transverse * (-math.expm1(-2.0 * gamma))

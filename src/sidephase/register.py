@@ -113,8 +113,8 @@ class ErrorSampler:
     seed: int
 
     def __post_init__(self) -> None:
-        if any(s < 0.0 for s in self.sigma):
-            raise ValueError("sigma components must be nonnegative")
+        if not all(0.0 <= s < math.inf for s in self.sigma):
+            raise ValueError("sigma components must be finite and nonnegative")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
 

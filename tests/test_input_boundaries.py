@@ -13,7 +13,7 @@ import warnings
 import mpmath
 import pytest
 
-from sidephase import cli, mechanisms, montecarlo
+from sidephase import cli, constants, mechanisms, montecarlo, qubit, register
 from sidephase.cli import _json_text, main
 from sidephase.config import CHANNELS, PARAMS
 from sidephase.dephasing import ExponentialCorrelation, gamma_exact
@@ -616,3 +616,72 @@ def test_sweep_checks_out_before_computing(tmp_path, capsys, monkeypatch, where,
             "--grid", "0.05:10:48:log", "--out", str(target)]
     line = _assert_usage_error(main(argv), capsys)
     assert line.startswith(f"error: --out {target}{message}")
+
+
+# NaN passes every `x < 0` and `x <= 0` check; each of these once returned
+# NaN or built a NaN-holding record instead of raising.
+NAN_ARGUMENTS = {
+    "PhysicalConstants(hbar=nan)": lambda: constants.PhysicalConstants(hbar=math.nan),
+    "PhysicalConstants(k_boltzmann=inf)": lambda: constants.PhysicalConstants(
+        k_boltzmann=math.inf
+    ),
+    "MaterialParams.from_cgs(nan, ..., inf, ...)": lambda: constants.MaterialParams.from_cgs(
+        math.nan, 5.4e-8, math.inf, 0.46e-29, 725e6, 5.0e22
+    ),
+    "MaterialParams(xi=nan)": lambda: constants.MaterialParams.from_cgs(
+        625.0, 5.4e-8, 5e5, 0.46e-29, 725e6, 5.0e22, xi=math.nan
+    ),
+    "SpinSpecies(gamma=nan)": lambda: constants.SpinSpecies("x", math.nan),
+    "SpinSpecies(gamma=-inf)": lambda: constants.SpinSpecies("x", -math.inf),
+    "boltzmann_ratio(field=nan)": lambda: constants.boltzmann_ratio(176e9, math.nan, 1.0),
+    "boltzmann_ratio(temperature=nan)": lambda: constants.boltzmann_ratio(
+        176e9, 1.0, math.nan
+    ),
+    "spin_half_variance(nan)": lambda: constants.spin_half_variance(math.nan),
+    "max_paramagnetic_concentration(nan, 20)": lambda: mechanisms.max_paramagnetic_concentration(
+        math.nan, 20.0
+    ),
+    "max_nuclear_impurity_concentration(nan, 2, 8e-4)": (
+        lambda: mechanisms.max_nuclear_impurity_concentration(math.nan, 2.0, 8e-4)
+    ),
+    "apply_dephasing(gamma=nan)": lambda: qubit.apply_dephasing(
+        qubit.BlochState(1.0, 0.0, 0.0), math.nan
+    ),
+    "dephased_eigenvalues(gamma=nan)": lambda: qubit.dephased_eigenvalues(
+        qubit.BlochState(1.0, 0.0, 0.0), math.nan
+    ),
+    "BlochState(nan, 0, 0)": lambda: qubit.BlochState(math.nan, 0.0, 0.0),
+    "DensityMatrix(nan diagonal)": lambda: qubit.DensityMatrix(
+        complex(math.nan), 0j, 0j, complex(math.nan)
+    ),
+    "DensityMatrix(nan coherence)": lambda: qubit.DensityMatrix(
+        0.5 + 0j, complex(math.nan), complex(math.nan), 0.5 + 0j
+    ),
+    "ErrorSampler(sigma nan)": lambda: register.ErrorSampler((math.nan, 0.02, 0.02), 1),
+    "ErrorSampler(sigma inf)": lambda: register.ErrorSampler((math.inf, 0.02, 0.02), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_ARGUMENTS))
+def test_nan_and_inf_arguments_are_refused(case):
+    with pytest.raises(ValueError):
+        NAN_ARGUMENTS[case]()
+
+
+def test_an_out_of_range_channel_field_is_named_alone():
+    nonnegative = {"field", "concentration"}
+    for kind, params in PARAMS.items():
+        for param in params:
+            bound = "nonnegative" if param in nonnegative else "positive"
+            values = (-1.0, -1e-300) if param in nonnegative else (-1.0, -1e-300, 0.0)
+            for value in values:
+                with pytest.raises(ValueError) as info:
+                    CHANNELS[kind](**{param: value})
+                assert str(info.value) == f"{param} must be {bound}", (kind, param, value)
+
+
+def test_out_of_range_config_value_exits_2_naming_the_field(tmp_path, capsys):
+    cfg = tmp_path / "ch.ini"
+    cfg.write_text("[hyperfine]\na0 = -1\n")
+    line = _assert_usage_error(main(["channel", "hyperfine", "--config", str(cfg)]), capsys)
+    assert line == "error: invalid hyperfine parameters: a0 must be positive"

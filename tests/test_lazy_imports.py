@@ -249,3 +249,22 @@ def test_numpy_commands_give_the_same_bytes_in_a_fresh_process(tmp_path, capsys,
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
     assert code == (3 if label == "montecarlo-rejected" else 0)
     assert _outputs(fresh_dir) == _outputs(local_dir)
+
+
+def test_lazy_names_are_each_lazy_module_all():
+    lines = _fresh(
+        "import importlib, sys\n"
+        "import sidephase\n"
+        "lazy = {}\n"
+        "for name, module in sidephase._LAZY.items():\n"
+        "    if name != module:\n"
+        "        lazy.setdefault(module, set()).add(name)\n"
+        f"print({HEAVY_LOADED})\n"
+        "for module in sorted(set(sidephase._LAZY.values())):\n"
+        "    source = importlib.import_module('sidephase.' + module)\n"
+        "    print(module, lazy.get(module) == set(source.__all__))\n"
+        "    print(module, all(getattr(sidephase, n) is getattr(source, n) for n in source.__all__))\n"
+    )
+    assert lines == [
+        "[]", "montecarlo True", "montecarlo True", "register True", "register True"
+    ]
