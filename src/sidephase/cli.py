@@ -311,7 +311,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> Outputs:
     )
     # tau_c * 1.0 is tau_c, so without a mismatch the reference is the plan's noise.
     reference = ExponentialCorrelation(args.variance, args.tau_c * args.mismatch_tau_c)
-    result = ensemble_coherence(plan, n_grid=args.grid_points, n_workers=args.workers)
+    if args.workers < 1:  # after the plan, which may reject it first (exit 3)
+        raise UsageError("--workers must be at least 1")
+    result = ensemble_coherence(plan, n_grid=args.grid_points)
     comparison = compare_to_analytic(result, reference)
     table = (
         ("t", "re_mean", "im_mean", "std_error", "analytic_envelope", "z"),

@@ -200,13 +200,15 @@ def boltzmann_ratio(gamma: float, field: float, temperature: float) -> float:
 
     Parameters
     ----------
-    gamma : rad/s/T, sign ignored.
+    gamma : rad/s/T, sign ignored, must be finite.
     field : T, must be >= 0.
     temperature : K, must be > 0.
 
     Where k T underflows to 0 the ratio is beyond float range: inf, or 0
     at zero field.
     """
+    if not abs(gamma) < math.inf:  # NaN too
+        raise ValueError("gamma must be finite")
     if not temperature > 0.0:
         raise ValueError("temperature must be positive")
     if not field >= 0.0:

@@ -171,11 +171,11 @@ def _is_array(value) -> bool:
     return np is not None and isinstance(value, np.ndarray)
 
 
-def _libm(func, values: np.ndarray, *args) -> np.ndarray:
+def _libm(func, values: np.ndarray) -> np.ndarray:
     """func from math applied element by element, for float-path bits."""
     import numpy as np
 
-    flat = map(func, values.ravel().tolist(), *args)
+    flat = map(func, values.ravel().tolist())
     return np.fromiter(flat, np.float64, values.size).reshape(values.shape)
 
 
@@ -186,7 +186,7 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
     """
     import numpy as np
 
-    if (t < 0.0).any():
+    if not (t >= 0.0).all():  # NaN too
         raise ValueError("t must be nonnegative")
     shape = t.shape
     t = np.asarray(t, dtype=np.float64).ravel()
@@ -207,7 +207,7 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
 
 def gamma_static(correlation: ExponentialCorrelation, t: float) -> float:
     """Frozen-noise limit: variance * t^2 / 2."""
-    if t < 0.0:
+    if not t >= 0.0:  # NaN too
         raise ValueError("t must be nonnegative")
     return 0.5 * correlation.variance * t * t
 
@@ -238,7 +238,7 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
     # the slower array test.
     if type(t) is not float and _is_array(t):
         return _gamma_array(correlation, t)
-    if t < 0.0:
+    if not t >= 0.0:  # NaN too
         raise ValueError("t must be nonnegative")
     if correlation.is_static:
         return gamma_static(correlation, t)

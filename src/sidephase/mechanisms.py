@@ -306,10 +306,13 @@ def required_field_temperature_ratio(a0: float, target_dephasing_time: float) ->
 
     Solves a0^2 spin_half_variance(x) = target^-2 for x by bisection to
     1e-6 relative, then converts x back to a ratio.  Unattainable targets
-    (faster than the unpolarized limit 2/a0) raise.
+    (faster than the unpolarized limit 2/a0) raise; an infinite target asks
+    for zero variance, which only an infinite ratio gives.
     """
     if not (a0 > 0.0 and target_dephasing_time > 0.0):
         raise ValueError("a0 and target_dephasing_time must be positive")
+    if target_dephasing_time == math.inf:
+        return math.inf
     target_variance = target_dephasing_time ** -2
     if target_variance > a0 ** 2 * 0.25:
         raise ThresholdUnattainableError(

@@ -368,11 +368,7 @@ def _output_indices(n_steps: int, n_grid: int) -> np.ndarray:
     return np.round(np.linspace(0, n_steps, n_grid + 1)).astype(int)[1:]
 
 
-def ensemble_coherence(
-    plan: SimulationPlan,
-    n_grid: int = 50,
-    n_workers: int = 1,
-) -> EnsembleCoherence:
+def ensemble_coherence(plan: SimulationPlan, n_grid: int = 50) -> EnsembleCoherence:
     """Sample the ensemble exactly on n_grid output times and reduce it.
 
     The blocks of 1024 trajectories write their phases into their rows of
@@ -381,11 +377,8 @@ def ensemble_coherence(
     phases are squared in place.  The column sums add the rows in index
     order, and the standard errors make one deviation pass through a buffer
     of _REDUCE_ROWS rows, so the peak memory is the three result arrays and
-    that buffer.  n_workers must be at least 1 and changes neither the
-    result nor the speed.
+    that buffer.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
     grid_idx = _output_indices(plan.n_steps, n_grid)
     dt = plan.dt
     steps = np.diff(grid_idx, prepend=0).tolist()

@@ -83,6 +83,8 @@ def density_from_bloch(state: BlochState, phase: float = 0.0) -> DensityMatrix:
 
     Off-diagonals are (px -+ i py)/2 rotated by exp(+-i phase).
     """
+    if not abs(phase) < math.inf:  # NaN too
+        raise ValueError("phase must be finite")
     p_minus = complex(state.px, -state.py)
     return _with_coherence(state, 0.5 * p_minus * cmath.exp(1j * phase))
 

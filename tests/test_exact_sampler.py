@@ -142,7 +142,7 @@ def test_bytes_do_not_depend_on_block_boundaries(monkeypatch):
     # 601 trajectories fit in one default block; blocks of 256 split them
     # 256 + 256 + 89, and blocks of 97 into six full blocks and a last of 19.
     plan = SimulationPlan(A10, 1.0, 20_000, 601, master_seed=31)
-    results = [ensemble_coherence(plan, n_grid=50, n_workers=w) for w in (1, 2, 3)]
+    results = [ensemble_coherence(plan, n_grid=50)]
     for block in (256, 97):
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         results.append(ensemble_coherence(plan, n_grid=50))

@@ -11,12 +11,18 @@ import sys
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from sidephase import cli, constants, mechanisms, montecarlo, qubit, register
 from sidephase.cli import _json_text, main
 from sidephase.config import CHANNELS, PARAMS
-from sidephase.dephasing import ExponentialCorrelation, gamma_exact
+from sidephase.dephasing import (
+    ExponentialCorrelation,
+    coherence_envelope,
+    gamma_exact,
+    gamma_static,
+)
 from sidephase.mechanisms import NuclearImpurityChannel, ParamagneticImpurityChannel
 from sidephase.montecarlo import SimulationPlan
 
@@ -155,6 +161,27 @@ class TestCliExitsTwo:
         code = main(_montecarlo_argv(tmp_path, seed=seed))
         _assert_usage_error(code, capsys)
         assert not (tmp_path / "mc.csv").exists()
+
+
+class TestWorkersIsCheckedByTheCli:
+    """--workers is the CLI's own option; the plan is checked before it."""
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_below_one_exits_2_leaving_no_file(self, tmp_path, capsys, workers):
+        line = _assert_usage_error(main(_montecarlo_argv(tmp_path, workers=workers)), capsys)
+        assert line == "error: --workers must be at least 1"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checked_before_the_output_grid(self, tmp_path, capsys):
+        argv = _montecarlo_argv(tmp_path, workers="0", grid_points="200", n_steps="100")
+        line = _assert_usage_error(main(argv), capsys)
+        assert line == "error: --workers must be at least 1"
+
+    def test_a_coarse_plan_is_rejected_first(self, tmp_path, capsys):
+        code = main(_montecarlo_argv(tmp_path, workers="0", tau_c="0.5", n_steps="10"))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("plan rejected: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMismatchTauCIsCheckedFirst:
@@ -666,6 +693,56 @@ NAN_ARGUMENTS = {
 def test_nan_and_inf_arguments_are_refused(case):
     with pytest.raises(ValueError):
         NAN_ARGUMENTS[case]()
+
+
+_CORRELATION = ExponentialCorrelation(1.0, 1.0)
+_NAN_TIMES = np.array([0.1, math.nan])
+
+# Each of these once returned NaN or inf, or was refused by a later check
+# whose message named something else; the message must name the input.
+NAMED_REFUSALS = {
+    "boltzmann_ratio(gamma=nan)": (
+        lambda: constants.boltzmann_ratio(math.nan, 2.0, 0.1), "gamma must be finite"
+    ),
+    "boltzmann_ratio(gamma=inf)": (
+        lambda: constants.boltzmann_ratio(math.inf, 2.0, 0.1), "gamma must be finite"
+    ),
+    "density_from_bloch(phase=nan)": (
+        lambda: qubit.density_from_bloch(qubit.BlochState(1.0, 0.0, 0.0), math.nan),
+        "phase must be finite",
+    ),
+    "density_from_bloch(phase=-inf)": (
+        lambda: qubit.density_from_bloch(qubit.BlochState(1.0, 0.0, 0.0), -math.inf),
+        "phase must be finite",
+    ),
+    "gamma_exact(t=nan)": (lambda: gamma_exact(_CORRELATION, math.nan), "t must be nonnegative"),
+    "gamma_static(t=nan)": (lambda: gamma_static(_CORRELATION, math.nan), "t must be nonnegative"),
+    "coherence_envelope(t=nan)": (
+        lambda: coherence_envelope(_CORRELATION, math.nan), "t must be nonnegative"
+    ),
+    "gamma_exact(t=[0.1, nan])": (
+        lambda: gamma_exact(_CORRELATION, _NAN_TIMES), "t must be nonnegative"
+    ),
+    "coherence_envelope(t=[0.1, nan])": (
+        lambda: coherence_envelope(_CORRELATION, _NAN_TIMES), "t must be nonnegative"
+    ),
+    "required_field_temperature_ratio(nan, 1)": (
+        lambda: mechanisms.required_field_temperature_ratio(math.nan, 1.0),
+        "a0 and target_dephasing_time must be positive",
+    ),
+    "required_field_temperature_ratio(725e6, nan)": (
+        lambda: mechanisms.required_field_temperature_ratio(725e6, math.nan),
+        "a0 and target_dephasing_time must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NAMED_REFUSALS))
+def test_non_finite_arguments_are_refused_by_name(case):
+    call, message = NAMED_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_an_out_of_range_channel_field_is_named_alone():

@@ -41,13 +41,13 @@ def _fresh(code: str) -> list[str]:
 
 
 def test_ensemble_starts_no_thread():
-    # Three blocks of trajectories, so a pool would have work to split.
+    # No pool is imported and no thread is left behind.
     lines = _fresh(
         "import sys, threading\n"
         "from sidephase.dephasing import ExponentialCorrelation\n"
         "from sidephase.montecarlo import SimulationPlan, ensemble_coherence\n"
         "plan = SimulationPlan(ExponentialCorrelation(3000.0, 1e-3), 0.01, 200, 600, 7)\n"
-        "ensemble_coherence(plan, n_grid=4, n_workers=4)\n"
+        "ensemble_coherence(plan, n_grid=4)\n"
         "print('concurrent.futures' in sys.modules, threading.active_count())\n"
     )
     assert lines == ["False 1"]

@@ -104,6 +104,10 @@ class TestRequiredRatio:
         with pytest.raises(ThresholdUnattainableError):
             required_field_temperature_ratio(725e6, 1e-12)
 
+    def test_infinite_target_needs_an_infinite_ratio(self):
+        # zero variance: no finite ratio polarizes the electron fully
+        assert required_field_temperature_ratio(725e6, math.inf) == math.inf
+
     def test_target_just_above_limit_needs_no_polarization(self):
         # a hair slower than the unpolarized limit: tiny ratio suffices
         ratio = required_field_temperature_ratio(725e6, 2.0000002 / 725e6)

@@ -73,6 +73,11 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             DensityMatrix(0.5, 0.2j, 0.2j, 0.5)
 
+    def test_diagonal_must_be_real(self):
+        # Hermitian off-diagonals, but rho00 is 1e-9 off the real axis
+        with pytest.raises(ValueError, match="diagonal entries must be real"):
+            DensityMatrix(1 + 1e-9j, 0j, 0j, 0j)
+
     def test_positivity_enforced(self):
         # trace one, hermitian, but one eigenvalue is negative
         with pytest.raises(ValueError):
