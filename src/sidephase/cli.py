@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from typing import TYPE_CHECKING
@@ -101,7 +102,10 @@ def _open_outputs(args: argparse.Namespace, created: list[str]) -> None:
     A missing file is created and listed in created; an existing one is
     opened for append, so its bytes stay as they are.  A command with two
     outputs thus never writes the first and then fails to open the second.
+    Two outputs that are one regular file, by the same path or through a
+    link, are refused: the second write would replace the first.
     """
+    opened = {}  # (st_dev, st_ino) -> "--flag path" of the output there
     for option in args.outputs:
         path = getattr(args, option)
         if not path:
@@ -117,6 +121,11 @@ def _open_outputs(args: argparse.Namespace, created: list[str]) -> None:
             raise UsageError(f"{flag} {path}: no such directory {parent}") from None
         if not existed:
             created.append(os.path.realpath(path))  # the file, not a link to it
+        info = os.stat(path)
+        file_id = (info.st_dev, info.st_ino)
+        if file_id in opened and stat.S_ISREG(info.st_mode):
+            raise UsageError(f"{opened[file_id]} and {flag} {path} are the same file")
+        opened[file_id] = f"{flag} {path}"
 
 
 def _config_section(path: str | None, kind: str) -> dict[str, float]:

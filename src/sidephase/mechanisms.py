@@ -43,7 +43,7 @@ from .constants import (
     boltzmann_ratio,
     spin_half_variance,
 )
-from .dephasing import ExponentialCorrelation, bisect_from
+from .dephasing import ExponentialCorrelation
 
 __all__ = [
     "HyperfineElectronChannel",
@@ -304,26 +304,33 @@ def nuclear_impurity_variance(channel: NuclearImpurityChannel) -> float:
 def required_field_temperature_ratio(a0: float, target_dephasing_time: float) -> float:
     """B/T (in T/K) making the static hyperfine time reach the target.
 
-    Solves a0^2 spin_half_variance(x) = target^-2 for x by bisection to
-    1e-6 relative, then converts x back to a ratio.  Unattainable targets
-    (faster than the unpolarized limit 2/a0) raise; an infinite target asks
-    for zero variance, which only an infinite ratio gives.
+    Inverts a0^2 sech^2(x/2)/4 = target^-2 in closed form: sech(x/2) is
+    2/(a0 target), and with s = tanh(x/2) = sqrt(1 - sech^2(x/2)),
+    x = 2 atanh(s) = 2 log1p(s) - ln 4 + 2 (ln a0 + ln target).  x is
+    formed from the logs of a0 and the target, never from their product
+    or target^-2, so no finite target overflows or underflows it, and an
+    infinite target gives inf.  a0 must be finite.  A target below the
+    unpolarized limit 2/a0 raises; at target = 2.0/a0 the result is 0 to
+    rounding.  Near that limit x ~ 2 sqrt(2 (a0 target/2 - 1)) magnifies
+    the rounding of sech: about 1e-10 relative at 1.0000001 * 2/a0.
     """
     if not (a0 > 0.0 and target_dephasing_time > 0.0):
         raise ValueError("a0 and target_dephasing_time must be positive")
-    if target_dephasing_time == math.inf:
-        return math.inf
-    target_variance = target_dephasing_time ** -2
-    if target_variance > a0 ** 2 * 0.25:
+    if a0 == math.inf:
+        raise ValueError("a0 must be finite")
+    # Exactly 1.0 at target = 2.0/a0, and 0.0 for an infinite target.  NaN
+    # only where 2/a0 overflows (a0 < 1.1e-308) and the target is inf: the
+    # negated test refuses it with the unattainable ones.
+    sech = 2.0 / a0 / target_dephasing_time
+    if not sech <= 1.0:
         raise ThresholdUnattainableError(
             "target is below the unpolarized dephasing time 2/a0"
         )
-    # Variance falls monotonically with x; find x where it crosses target.
-    def excess(x: float) -> float:
-        return target_variance - a0 ** 2 * spin_half_variance(x)
-
-    x_star = bisect_from(excess, 1.0, rtol=1e-6)
-    return x_star / boltzmann_ratio(ELECTRON.gamma, 1.0, 1.0)
+    s = math.sqrt((1.0 - sech) * (1.0 + sech))
+    log_a0_target = math.log(a0) + math.log(target_dephasing_time)
+    x = 2.0 * math.log1p(s) - math.log(4.0) + 2.0 * log_a0_target
+    # At the limit the logs cancel to a few ulps either side of 0.
+    return max(x, 0.0) / boltzmann_ratio(ELECTRON.gamma, 1.0, 1.0)
 
 
 def max_paramagnetic_concentration(

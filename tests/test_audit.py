@@ -35,7 +35,7 @@ EXPECTED_PUBLISHED = {
 # repr of every computed value: the recomputation keeps its exact floats.
 EXPECTED_COMPUTED = {
     "polarization-ratio": "26.782608695652172",
-    "hyperfine-threshold-ratio": "30.470041547502788",
+    "hyperfine-threshold-ratio": "30.470044863301023",
     "hyperfine-dephasing-time": "0.0009024675130816799",
     "phonon-rate-prefactor": "8243.39548906202",
     "paramagnetic-prefactor-full": "333710636793311.0",

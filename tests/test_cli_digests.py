@@ -10,8 +10,8 @@ A failure names the invocation and the keys that moved.
 The invocations are the benchmark's at seed 1 and full scale (the four
 100,000-point profiles, the 60 sweeps, the 12 channel reports under the
 benchmark's config, audit --out and the four montecarlo runs), the 12
-channel reports at the default parameters, constants, and one exit-2 and
-one exit-3 case.  They are written out here, not imported.
+channel reports at the default parameters, constants, two exit-2 cases
+and one exit-3 case.  They are written out here, not imported.
 
 A change that moves bytes on purpose rewrites the manifest with
 
@@ -103,6 +103,9 @@ def _invocations() -> dict[str, list[str]]:
                         "--out", "mc.csv", "--summary-out", "mc.json"]
     calls["mc-workers-0"] = ["montecarlo", *SMALL_MC.split(), "--workers", "0", "--seed", "1",
                              "--out", "mc.csv", "--summary-out", "mc.json"]
+    # Two outputs on one file: refused before anything is written.
+    calls["channel-same-file"] = ["channel", "hyperfine", "--t-max", "1e-3",
+                                  "--out", "r.txt", "--profile-out", "r.txt"]
     # Too few steps for tau_c: the plan is rejected before --workers is read.
     calls["mc-coarse-plan"] = ["montecarlo", "--variance", "3000", "--tau-c", "1e-3",
                                "--t-max", "1", "--n-steps", "10", "--workers", "0",

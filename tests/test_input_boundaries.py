@@ -730,6 +730,10 @@ NAMED_REFUSALS = {
         lambda: mechanisms.required_field_temperature_ratio(math.nan, 1.0),
         "a0 and target_dephasing_time must be positive",
     ),
+    "required_field_temperature_ratio(inf, 1)": (
+        lambda: mechanisms.required_field_temperature_ratio(math.inf, 1.0),
+        "a0 must be finite",
+    ),
     "required_field_temperature_ratio(725e6, nan)": (
         lambda: mechanisms.required_field_temperature_ratio(725e6, math.nan),
         "a0 and target_dephasing_time must be positive",

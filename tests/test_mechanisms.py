@@ -1,8 +1,11 @@
 """Noise channels: variances, rates, thresholds, and correlation mapping."""
 
 import math
+import random
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from sidephase.constants import (
     boltzmann_ratio,
     spin_half_variance,
 )
-from sidephase.dephasing import gamma_exact, gamma_static
+from sidephase.dephasing import bisect_from, gamma_exact, gamma_static
 from sidephase.mechanisms import (
     ConcentrationBound,
     HyperfineElectronChannel,
@@ -112,6 +115,85 @@ class TestRequiredRatio:
         # a hair slower than the unpolarized limit: tiny ratio suffices
         ratio = required_field_temperature_ratio(725e6, 2.0000002 / 725e6)
         assert 0.0 < ratio < 1e-2
+
+
+# Seeded log-uniform targets from just above the unpolarized limit 2/a0.
+_A0 = 725e6
+_LIMIT = 2.0 / _A0
+
+
+def _log_uniform_targets(seed: int, top: float, n: int = 200) -> list[float]:
+    rng = random.Random(seed)
+    lo, hi = math.log(1.0000001 * _LIMIT), math.log(top)
+    return [math.exp(rng.uniform(lo, hi)) for _ in range(n)]
+
+
+def _exact_ratio(a0: float, target: float) -> float:
+    # cosh(x/2) = a0 target / 2, at 50 digits; k is the float the code divides by
+    with mpmath.workdps(50):
+        x = 2 * mpmath.acosh(mpmath.mpf(a0) * mpmath.mpf(target) / 2)
+        return float(x / mpmath.mpf(boltzmann_ratio(ELECTRON.gamma, 1.0, 1.0)))
+
+
+def _bisected_ratio(a0: float, target: float) -> float:
+    # the search the closed form replaced: 1e-6 relative on x
+    target_variance = target ** -2
+    x = bisect_from(lambda x: target_variance - a0 ** 2 * spin_half_variance(x), 1.0, rtol=1e-6)
+    return x / boltzmann_ratio(ELECTRON.gamma, 1.0, 1.0)
+
+
+class TestClosedFormRatio:
+    @pytest.mark.parametrize("target", _log_uniform_targets(27, 1e300))
+    def test_matches_fifty_digit_inverse(self, target):
+        ratio = required_field_temperature_ratio(_A0, target)
+        assert ratio == pytest.approx(_exact_ratio(_A0, target), rel=1e-12, abs=0.0)
+
+    def test_near_the_limit_rounding_is_magnified_but_bounded(self):
+        # x ~ 2 sqrt(2 (a0 T/2 - 1)) there: the closed form is still far
+        # inside the old search's 1e-6
+        for factor in (1.0000001, 1.000001, 1.0001):
+            target = factor * _LIMIT
+            ratio = required_field_temperature_ratio(_A0, target)
+            assert ratio == pytest.approx(_exact_ratio(_A0, target), rel=1e-9, abs=0.0)
+
+    def test_matches_old_bisection_to_its_tolerance(self):
+        for target in _log_uniform_targets(28, 1e140):
+            ratio = required_field_temperature_ratio(_A0, target)
+            assert ratio == pytest.approx(_bisected_ratio(_A0, target), rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("target", [1e153, 1e160, 1e300])
+    def test_huge_targets_keep_growing(self, target):
+        # a0 target/2 >> 1: x = 2 acosh(a0 T/2) -> 2 (ln a0 + ln T) exactly
+        expected = 2.0 * (math.log(_A0) + math.log(target)) / boltzmann_ratio(
+            ELECTRON.gamma, 1.0, 1.0
+        )
+        ratio = required_field_temperature_ratio(_A0, target)
+        assert ratio == pytest.approx(expected, rel=1e-15)
+
+    def test_finite_up_to_the_largest_float(self):
+        ratio = required_field_temperature_ratio(_A0, sys.float_info.max)
+        assert math.isfinite(ratio) and ratio > 1000.0
+
+    @pytest.mark.parametrize("target", _log_uniform_targets(29, 1e140, n=50))
+    def test_round_trip_through_the_channel(self, target):
+        # a channel at field = ratio and 1 K has the target static time
+        ratio = required_field_temperature_ratio(_A0, target)
+        channel = HyperfineElectronChannel(a0=_A0, field=ratio, temperature=1.0)
+        static_time = channel_to_correlation(channel).variance ** -0.5
+        assert static_time == pytest.approx(target, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a0", [725e6, 1.0, 3e-5, 1e300, 0.1 + 0.2])
+    def test_at_the_limit_the_ratio_is_zero_to_rounding(self, a0):
+        ratio = required_field_temperature_ratio(a0, 2.0 / a0)
+        assert 0.0 <= ratio < 1e-12
+
+    def test_just_below_the_limit_is_unattainable(self):
+        with pytest.raises(ThresholdUnattainableError):
+            required_field_temperature_ratio(_A0, _LIMIT * (1.0 - 1e-9))
+
+    def test_infinite_a0_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^a0 must be finite$"):
+            required_field_temperature_ratio(math.inf, 1.0)
 
 
 class TestDebyeIntegral:
@@ -456,4 +538,4 @@ class TestDipolarPins:
 
     def test_required_field_temperature_ratio(self):
         ratio = required_field_temperature_ratio(SILICON.hyperfine_constant, 1.0)
-        assert repr(ratio) == "30.470041547502788"
+        assert repr(ratio) == "30.470044863301023"

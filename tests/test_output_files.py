@@ -5,7 +5,8 @@ A missing output file is created before the command runs; an existing one
 is opened for append and keeps its bytes.  On exit 2 or 3, or when an
 exception such as KeyboardInterrupt escapes the command, main removes
 exactly the files this run created, never a path that existed before.
-Warnings reach stderr as one `warning:` line each, on exit 0 only.
+Warnings reach stderr as one `warning:` line each, on exit 0 only.  Two
+outputs that are one regular file are refused with exit 2.
 """
 
 import json
@@ -139,16 +140,45 @@ def test_created_output_is_removed_when_the_command_fails(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_one_file_for_both_montecarlo_outputs(tmp_path, capsys):
+def test_montecarlo_outputs_on_one_file_are_refused(tmp_path, capsys):
+    # the summary would replace the CSV; refused before the plan is checked
     both = str(tmp_path / "mc.out")
-    assert main(MC_OK + ["--out", both, "--summary-out", both]) == 0
-    with open(both) as fh:
-        assert json.load(fh)["n_steps"] == 400  # the summary, written last
-    assert main(MC_REJECTED + ["--out", both, "--summary-out", both]) == 3
-    assert os.path.exists(both)  # it existed before this run
-    os.remove(both)
-    assert main(MC_REJECTED + ["--out", both, "--summary-out", both]) == 3
-    assert list(tmp_path.iterdir()) == []
+    for command in (MC_OK, MC_REJECTED):
+        assert main(command + ["--out", both, "--summary-out", both]) == 2
+        line, out = _one_line(capsys, "error: ")
+        assert line == f"error: --out {both} and --summary-out {both} are the same file"
+        assert out == "" and list(tmp_path.iterdir()) == []
+    (tmp_path / "mc.out").write_bytes(OLD)
+    assert main(MC_OK + ["--out", both, "--summary-out", both]) == 2
+    assert (tmp_path / "mc.out").read_bytes() == OLD  # it existed before this run
+
+
+@pytest.mark.parametrize("linked", [False, True], ids=["same-path", "symlink"])
+def test_one_file_for_report_and_profile_is_refused(tmp_path, capsys, linked):
+    report = tmp_path / "r.txt"
+    profile = report
+    if linked:
+        profile = tmp_path / "link.txt"
+        try:
+            profile.symlink_to("r.txt")
+        except OSError:
+            pytest.skip("no symbolic links here")
+    argv = ["channel", "hyperfine", "--t-max", "1e-3", "--out", str(report),
+            "--profile-out", str(profile)]
+    assert main(argv) == 2
+    line, out = _one_line(capsys, "error: ")
+    assert line == f"error: --out {report} and --profile-out {profile} are the same file"
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == (["link.txt"] if linked else [])
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_null_device_may_take_both_outputs(capsys):
+    # only a regular file loses the first output to the second
+    argv = ["channel", "hyperfine", "--t-max", "1e-3", "--out", os.devnull,
+            "--profile-out", os.devnull]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("kind", ["paramagnetic", "nuclear"])
