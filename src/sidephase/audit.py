@@ -41,9 +41,12 @@ from .mechanisms import (
 
 __all__ = ["AuditEntry", "build_audit", "render_table", "classify_ratio"]
 
-_REFERENCE_RATIO = 20.0  # T/K operating point quoted with most estimates
 _REFERENCE_FIELD = 2.0  # T
 _REFERENCE_TEMPERATURE = 0.1  # K
+# The B/T operating point quoted with most estimates: exactly 20.0 in binary64.
+_REFERENCE_RATIO = _REFERENCE_FIELD / _REFERENCE_TEMPERATURE  # T/K
+_TARGET_TIME = 1.0  # s, the dephasing time the thresholds and bounds keep
+_SPIN_TEMPERATURE = 0.8e-3  # K, the published host nuclear spin temperature
 
 
 @dataclass(frozen=True)
@@ -73,168 +76,73 @@ def classify_ratio(ratio: float) -> str:
 
 
 def _entry(
-    claim_id: str,
-    description: str,
-    published: float,
-    computed: float,
-    units: str,
+    claim_id: str, description: str, published: float, computed: float, units: str
 ) -> AuditEntry:
     ratio = computed / published
     return AuditEntry(
-        claim_id=claim_id,
-        description=description,
-        published_value=published,
-        computed_value=computed,
-        units=units,
-        ratio=ratio,
-        verdict=classify_ratio(ratio),
+        claim_id, description, published, computed, units, ratio, classify_ratio(ratio)
     )
 
 
 def build_audit() -> list[AuditEntry]:
-    """Recompute every published estimate and classify the agreement."""
-    entries = []
+    """Recompute every published estimate and classify the agreement.
 
+    Each claim is one row of the table below: id, description, published
+    value, computed value, units.  The rows share the operating point set
+    by the module constants and the values computed once above the table;
+    the descriptions are formatted from the same constants.
+    """
+    at_point = f"B = {_REFERENCE_FIELD:g} T, T = {_REFERENCE_TEMPERATURE:g} K"
+    at_ratio = f"B/T = {_REFERENCE_RATIO:g}"
+    target = f"a {_TARGET_TIME:g} s"
     x_ref = boltzmann_ratio(ELECTRON.gamma, _REFERENCE_FIELD, _REFERENCE_TEMPERATURE)
-    entries.append(
-        _entry(
-            "polarization-ratio",
-            "electron Zeeman-to-thermal ratio at B = 2 T, T = 0.1 K",
-            27.0,
-            x_ref,
-            "dimensionless",
-        )
-    )
-
-    entries.append(
-        _entry(
-            "hyperfine-threshold-ratio",
-            "B/T needed for a 1 s static hyperfine dephasing time",
-            30.0,
-            required_field_temperature_ratio(SILICON.hyperfine_constant, 1.0),
-            "T/K",
-        )
-    )
-
     hyperfine = HyperfineElectronChannel(
         field=_REFERENCE_FIELD, temperature=_REFERENCE_TEMPERATURE
     )
-    td_static = decoherence_time(channel_to_correlation(hyperfine), "static")
-    entries.append(
-        _entry(
-            "hyperfine-dephasing-time",
-            "static hyperfine dephasing time at B/T = 20 T/K",
-            1e-3,
-            td_static,
-            "s",
-        )
-    )
-
     phonon = PhononRamanChannel()
-    approx_prefactor = phonon_rate(phonon, "factorial-approx") / (
-        phonon.t_over_theta ** 7
-    )
-    entries.append(
-        _entry(
-            "phonon-rate-prefactor",
-            "Raman rate coefficient of (T/Theta)^7 (factorial form)",
-            0.75e4,
-            approx_prefactor,
-            "1/s",
-        )
-    )
-
     # Dipolar variance per (concentration * cutoff volume), before thermal
     # suppression; the published number appears to have a flipped decade
     # exponent, which the ratio exposes.
     paramagnetic_ref = ParamagneticImpurityChannel(
-        concentration=1.0,
-        field=_REFERENCE_FIELD,
-        temperature=_REFERENCE_TEMPERATURE,
+        concentration=1.0, field=_REFERENCE_FIELD, temperature=_REFERENCE_TEMPERATURE
     )
     per_site_fraction = paramagnetic_variance(paramagnetic_ref) / (
         spin_half_variance(paramagnetic_ref.x) * CUTOFF_VOLUME
     )
-    entries.append(
-        _entry(
-            "paramagnetic-prefactor-full",
-            "dipolar variance per site fraction, no thermal factor",
-            33.4e-13,
-            per_site_fraction,
-            "1/s^2",
-        )
-    )
-
-    suppressed = per_site_fraction * spin_half_variance(x_ref)
-    entries.append(
-        _entry(
-            "paramagnetic-prefactor-suppressed",
-            "dipolar variance per site fraction at B/T = 20 T/K",
-            0.74e3,
-            suppressed,
-            "1/s^2",
-        )
-    )
-
-    bound = max_paramagnetic_concentration(1.0, _REFERENCE_RATIO)
-    entries.append(
-        _entry(
-            "paramagnetic-concentration-bound",
-            "paramagnetic impurity bound for a 1 s dephasing time",
-            0.7e20,
-            bound * 1e-6,
-            "1/cm^3",
-        )
-    )
-
-    temperature_threshold = boltzmann_ratio(SILICON_29.gamma, _REFERENCE_FIELD, 1.0)
-    entries.append(
-        _entry(
-            "impurity-polarization-temperature",
-            "spin temperature where the host nuclear Zeeman ratio reaches 1",
-            0.8e-3,
-            temperature_threshold,
-            "K",
-        )
-    )
-
     nuclear_bound = max_nuclear_impurity_concentration(
-        1.0, _REFERENCE_FIELD, 0.8e-3
+        _TARGET_TIME, _REFERENCE_FIELD, _SPIN_TEMPERATURE
     )
-    entries.append(
-        _entry(
-            "impurity-concentration-bound",
-            "host nuclear-spin fraction bound for a 1 s time "
-            "(literal thermal factor; large disagreement is the finding)",
-            4.5e-2,
-            nuclear_bound.percent_of_sites,
-            "% of sites",
-        )
-    )
-
-    entries.append(
-        _entry(
-            "thermal-variance-forms",
-            "full-argument variance form vs the exponential approximation "
-            "the thresholds rely on, at the B/T = 20 operating point",
-            math.exp(-x_ref),
-            spin_half_variance_full_arg(x_ref),
-            "dimensionless",
-        )
-    )
-
-    entries.append(
-        _entry(
-            "site-density-vs-lattice-cube",
-            "quoted site density vs the literal inverse lattice-constant "
-            "cube (the quoted value matches 8 atoms per cubic cell)",
-            SILICON.site_density * 1e-6,
-            SILICON.lattice_constant ** -3 * 1e-6,
-            "1/cm^3",
-        )
-    )
-
-    return entries
+    table = [
+        ("polarization-ratio", f"electron Zeeman-to-thermal ratio at {at_point}",
+         27.0, x_ref, "dimensionless"),
+        ("hyperfine-threshold-ratio", f"B/T needed for {target} static hyperfine dephasing time",
+         30.0, required_field_temperature_ratio(SILICON.hyperfine_constant, _TARGET_TIME), "T/K"),
+        ("hyperfine-dephasing-time", f"static hyperfine dephasing time at {at_ratio} T/K",
+         1e-3, decoherence_time(channel_to_correlation(hyperfine), "static"), "s"),
+        ("phonon-rate-prefactor", "Raman rate coefficient of (T/Theta)^7 (factorial form)",
+         0.75e4, phonon_rate(phonon, "factorial-approx") / (phonon.t_over_theta ** 7), "1/s"),
+        ("paramagnetic-prefactor-full", "dipolar variance per site fraction, no thermal factor",
+         33.4e-13, per_site_fraction, "1/s^2"),
+        ("paramagnetic-prefactor-suppressed",
+         f"dipolar variance per site fraction at {at_ratio} T/K",
+         0.74e3, per_site_fraction * spin_half_variance(x_ref), "1/s^2"),
+        ("paramagnetic-concentration-bound",
+         f"paramagnetic impurity bound for {target} dephasing time",
+         0.7e20, max_paramagnetic_concentration(_TARGET_TIME, _REFERENCE_RATIO) * 1e-6, "1/cm^3"),
+        ("impurity-polarization-temperature",
+         "spin temperature where the host nuclear Zeeman ratio reaches 1",
+         _SPIN_TEMPERATURE, boltzmann_ratio(SILICON_29.gamma, _REFERENCE_FIELD, 1.0), "K"),
+        ("impurity-concentration-bound", f"host nuclear-spin fraction bound for {target} time "
+         "(literal thermal factor; large disagreement is the finding)",
+         4.5e-2, nuclear_bound.percent_of_sites, "% of sites"),
+        ("thermal-variance-forms", "full-argument variance form vs the exponential approximation "
+         f"the thresholds rely on, at the {at_ratio} operating point",
+         math.exp(-x_ref), spin_half_variance_full_arg(x_ref), "dimensionless"),
+        ("site-density-vs-lattice-cube", "quoted site density vs the literal inverse "
+         "lattice-constant cube (the quoted value matches 8 atoms per cubic cell)",
+         SILICON.site_density * 1e-6, SILICON.lattice_constant ** -3 * 1e-6, "1/cm^3"),
+    ]
+    return [_entry(*row) for row in table]
 
 
 def render_table(entries: list[AuditEntry]) -> str:

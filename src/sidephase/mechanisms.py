@@ -43,7 +43,7 @@ from .constants import (
     boltzmann_ratio,
     spin_half_variance,
 )
-from .dephasing import ExponentialCorrelation
+from .dephasing import ExponentialCorrelation, _is_normal
 
 __all__ = [
     "HyperfineElectronChannel",
@@ -333,6 +333,32 @@ def required_field_temperature_ratio(a0: float, target_dephasing_time: float) ->
     return max(x, 0.0) / boltzmann_ratio(ELECTRON.gamma, 1.0, 1.0)
 
 
+def _inverse_square_over(target: float, variance: float) -> float:
+    """target^-2 / variance, the bound at a variance per unit concentration.
+
+    Where target^-2 is a normal float (targets from about 7.5e-155 s to
+    6.7e153 s) this is target ** -2 / variance, bit for bit.  Outside that
+    range target^-2 would overflow or lose digits as a subnormal, so the
+    quotient is formed exactly from the two floats' integer ratios and
+    rounded once: inf where it exceeds the largest float, 0 for an
+    infinite target.  A zero variance gives inf.
+    """
+    if variance == 0.0:
+        return math.inf
+    try:
+        inverse_square = target ** -2
+    except OverflowError:
+        inverse_square = math.inf
+    if _is_normal(inverse_square) or target == math.inf:
+        return inverse_square / variance
+    t_num, t_den = target.as_integer_ratio()
+    v_num, v_den = variance.as_integer_ratio()
+    try:
+        return t_den * t_den * v_den / (t_num * t_num * v_num)
+    except OverflowError:
+        return math.inf
+
+
 def max_paramagnetic_concentration(
     target_dephasing_time: float, field_temperature_ratio: float
 ) -> float:
@@ -346,8 +372,7 @@ def max_paramagnetic_concentration(
     if not (target_dephasing_time > 0.0 and field_temperature_ratio >= 0.0):
         raise ValueError("target must be positive and ratio nonnegative")
     unit = ParamagneticImpurityChannel(1.0, field_temperature_ratio, 1.0)
-    variance = paramagnetic_variance(unit)
-    return math.inf if variance == 0.0 else target_dephasing_time ** -2 / variance
+    return _inverse_square_over(target_dephasing_time, paramagnetic_variance(unit))
 
 
 @dataclass(frozen=True)
@@ -370,8 +395,7 @@ def max_nuclear_impurity_concentration(
     if not target_dephasing_time > 0.0:
         raise ValueError("target_dephasing_time must be positive")
     unit = NuclearImpurityChannel(1.0, field, spin_temperature)
-    variance = nuclear_impurity_variance(unit)
-    per_m3 = math.inf if variance == 0.0 else target_dephasing_time ** -2 / variance
+    per_m3 = _inverse_square_over(target_dephasing_time, nuclear_impurity_variance(unit))
     site_density = 1.0 / CUTOFF_VOLUME
     return ConcentrationBound(
         per_m3=per_m3, percent_of_sites=100.0 * per_m3 / site_density

@@ -418,12 +418,12 @@ def ensemble_coherence(plan: SimulationPlan, n_grid: int = 50) -> EnsembleCohere
 
 @dataclass(frozen=True, eq=False)
 class CoherenceComparison:
-    """Per-time comparison of |mean coherence| against exp(-Gamma)."""
+    """Per-time comparison of |mean coherence| against exp(-Gamma).
 
-    times: np.ndarray
-    abs_mean: np.ndarray
+    The times and standard errors are the EnsembleCoherence's own.
+    """
+
     analytic_envelope: np.ndarray
-    std_error: np.ndarray
     z_scores: np.ndarray
 
     @property
@@ -451,10 +451,4 @@ def compare_to_analytic(
     z = np.divide(
         deviation, result.std_error, out=np.zeros_like(deviation), where=~zero_spread
     )
-    return CoherenceComparison(
-        times=result.times.copy(),
-        abs_mean=abs_mean,
-        analytic_envelope=envelope,
-        std_error=result.std_error.copy(),
-        z_scores=z,
-    )
+    return CoherenceComparison(analytic_envelope=envelope, z_scores=z)

@@ -87,7 +87,7 @@ def test_lazy_imports_give_the_in_process_values():
 HEAVY = ("numpy", "scipy", "sidephase.montecarlo", "sidephase.register")
 HEAVY_LOADED = f"sorted(m for m in sys.modules if m in {HEAVY!r} or m.split('.')[0] in {HEAVY!r})"
 
-NUMPY_FREE_COMMANDS = [["constants"]] + [
+NUMPY_FREE_COMMANDS = [["constants"], ["audit"]] + [
     ["channel", kind, "--convention", convention]
     for kind in ("hyperfine", "paramagnetic", "nuclear")
     for convention in ("static", "markovian", "unit-gamma")

@@ -480,6 +480,61 @@ class TestBoundsInvertVariances:
         )
 
 
+# Each bound as a function of the target, with the float variance at unit
+# concentration that it divides by.
+BOUNDS = {
+    "paramagnetic": (
+        lambda target: max_paramagnetic_concentration(target, 20.0),
+        paramagnetic_variance(ParamagneticImpurityChannel(1.0, 20.0, 1.0)),
+    ),
+    "nuclear": (
+        lambda target: max_nuclear_impurity_concentration(target, 2.0, 0.8e-3).per_m3,
+        nuclear_impurity_variance(NuclearImpurityChannel(1.0, 2.0, 0.8e-3)),
+    ),
+}
+
+
+class TestBoundsOverEveryTarget:
+    """The bounds keep their digits where target^-2 leaves the normal range."""
+
+    @staticmethod
+    def exact(target, variance):
+        with mpmath.workdps(60):
+            return 1 / (mpmath.mpf(target) ** 2 * mpmath.mpf(variance))
+
+    @pytest.mark.parametrize("kind", sorted(BOUNDS))
+    def test_against_the_exact_quotient(self, kind):
+        bound, variance = BOUNDS[kind]
+        rng = random.Random(20260)
+        for _ in range(2000):
+            target = 10.0 ** rng.uniform(-300.0, 300.0)
+            got, exact = bound(target), self.exact(target, variance)
+            if exact > sys.float_info.max:
+                assert got == math.inf, target
+            elif sys.float_info.min <= self.exact(target, 1.0) <= sys.float_info.max:
+                # target^-2 is normal: the bits of target ** -2 / variance,
+                # which rounds twice and so may be a neighbour of the nearest
+                # float (up to 1.33 ulp off the exact quotient here).
+                assert got == target ** -2 / variance, target
+                nearest = float(exact)
+                neighbours = (math.nextafter(nearest, 0.0), math.nextafter(nearest, math.inf))
+                assert got == nearest or got in neighbours, target
+            else:
+                # Rounded once from the exact quotient, subnormal or 0 included.
+                half_ulp = mpmath.mpf(math.ulp(max(float(exact), sys.float_info.min))) / 2
+                assert abs(mpmath.mpf(got) - exact) <= half_ulp, target
+
+    @pytest.mark.parametrize("kind", sorted(BOUNDS))
+    def test_explicit_extremes(self, kind):
+        # At 1e160 s target^-2 = 1e-320 is subnormal; at 1e-160 s it overflows.
+        bound, variance = BOUNDS[kind]
+        got = bound(1e160)
+        assert got > 0.0
+        assert abs(mpmath.mpf(got) - self.exact(1e160, variance)) <= math.ulp(got)
+        assert bound(1e-160) == math.inf
+        assert bound(math.inf) == 0.0
+
+
 class TestDipolarPins:
     """repr pins: the dipolar variances and bounds keep their exact floats."""
 
