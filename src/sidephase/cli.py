@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: constants | channel | sweep | montecarlo | audit.  Every
-number in every report comes from a library call; this module only
-parses arguments, routes, and serializes JSON.  CSV tables are written by
+number in every report comes from a library call but three, which this
+module forms itself: the phonon decoherence time as 1/rate (_report), the
+phonon profile's Gamma as rate * t (_profile_for), and a ratio sweep's
+field as ratio * temperature (_sweep_row).  Otherwise it only parses
+arguments, routes, and serializes JSON.  CSV tables are written by
 dephasing.write_csv.
 
 Commands compute, main writes.  main opens every output the command was

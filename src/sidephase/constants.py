@@ -78,11 +78,6 @@ class PhysicalConstants:
     def __post_init__(self) -> None:
         _require_domain(self)
 
-    @property
-    def mu0_cgs(self) -> float:
-        """mu_0 in T^2 cm^3 / J (printed form 0.4*pi)."""
-        return 4.0 * math.pi * self.mu0_over_4pi * 1e6
-
 
 @dataclass(frozen=True)
 class SpinSpecies:
@@ -125,48 +120,10 @@ class MaterialParams:
     def __post_init__(self) -> None:
         _require_domain(self)
 
-    @classmethod
-    def from_cgs(
-        cls,
-        debye_temperature_k: float,
-        lattice_constant_cm: float,
-        sound_velocity_cm_per_s: float,
-        atom_mass_j_s2_per_cm2: float,
-        hyperfine_constant_rad_per_s: float,
-        site_density_per_cm3: float,
-        xi: float = 1.0,
-    ) -> "MaterialParams":
-        return cls(
-            debye_temperature=debye_temperature_k,
-            lattice_constant=lattice_constant_cm * 1e-2,
-            sound_velocity=sound_velocity_cm_per_s * 1e-2,
-            atom_mass=atom_mass_j_s2_per_cm2 * 1e4,
-            hyperfine_constant=hyperfine_constant_rad_per_s,
-            site_density=site_density_per_cm3 * 1e6,
-            xi=xi,
-        )
-
-    def to_cgs(self) -> dict[str, float]:
-        """Inverse of from_cgs; keys match its parameter names."""
-        return {
-            "debye_temperature_k": self.debye_temperature,
-            "lattice_constant_cm": self.lattice_constant * 1e2,
-            "sound_velocity_cm_per_s": self.sound_velocity * 1e2,
-            "atom_mass_j_s2_per_cm2": self.atom_mass * 1e-4,
-            "hyperfine_constant_rad_per_s": self.hyperfine_constant,
-            "site_density_per_cm3": self.site_density * 1e-6,
-            "xi": self.xi,
-        }
-
-    @property
-    def site_volume(self) -> float:
-        """Per-site volume 1/site_density, m^3."""
-        return 1.0 / self.site_density
-
     @property
     def min_distance(self) -> float:
         """Dipolar cutoff distance: cube root of the per-site volume, m."""
-        return self.site_volume ** (1.0 / 3.0)
+        return (1.0 / self.site_density) ** (1.0 / 3.0)
 
 
 CONSTANTS = PhysicalConstants()
@@ -179,18 +136,16 @@ SPECIES: dict[str, SpinSpecies] = {
     s.name: s for s in (ELECTRON, PHOSPHORUS_31, SILICON_29)
 }
 
-# Printed CGS values: Theta = 625 K, a = 5.4e-8 cm, v = 5e5 cm/s,
-# M = 0.46e-29 J s^2/cm^2, A0 = 725 rad MHz, a^-3 = 5.0e22 cm^-3.
-# The electron longitudinal relaxation time (~1e4 s at low temperature)
-# and the even longer transverse one enter only the adiabaticity ordering;
-# the transverse time is never a parameter of any computed quantity.
-SILICON = MaterialParams.from_cgs(
-    debye_temperature_k=625.0,
-    lattice_constant_cm=5.4e-8,
-    sound_velocity_cm_per_s=5e5,
-    atom_mass_j_s2_per_cm2=0.46e-29,
-    hyperfine_constant_rad_per_s=725e6,
-    site_density_per_cm3=5.0e22,
+# Printed in mixed CGS units, each converted to SI by its factor here only.
+# The electron T1 (~1e4 s at low temperature) is not a material parameter:
+# it is the hyperfine channel's correlation time, tau1.
+SILICON = MaterialParams(
+    debye_temperature=625.0,  # Theta = 625 K
+    lattice_constant=5.4e-8 * 1e-2,  # a = 5.4e-8 cm
+    sound_velocity=5e5 * 1e-2,  # v = 5e5 cm/s
+    atom_mass=0.46e-29 * 1e4,  # M = 0.46e-29 J s^2/cm^2
+    hyperfine_constant=725e6,  # A0 = 725 rad MHz
+    site_density=5.0e22 * 1e6,  # a^-3 = 5.0e22 cm^-3
     xi=1.0,
 )
 

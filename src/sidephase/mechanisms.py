@@ -369,8 +369,10 @@ def max_paramagnetic_concentration(
     equals the B/T ratio.  A thermal factor that underflows to 0 leaves no
     variance, and the bound is math.inf.
     """
-    if not (target_dephasing_time > 0.0 and field_temperature_ratio >= 0.0):
-        raise ValueError("target must be positive and ratio nonnegative")
+    if not target_dephasing_time > 0.0:
+        raise ValueError("target_dephasing_time must be positive")
+    if not 0.0 <= field_temperature_ratio < math.inf:
+        raise ValueError("field_temperature_ratio must be finite and nonnegative")
     unit = ParamagneticImpurityChannel(1.0, field_temperature_ratio, 1.0)
     return _inverse_square_over(target_dephasing_time, paramagnetic_variance(unit))
 
@@ -390,16 +392,18 @@ def max_nuclear_impurity_concentration(
 
     Inverts nuclear_impurity_variance, which is linear in concentration:
     target^-2 over the variance at unit concentration.  A thermal factor
-    that underflows to 0 gives ConcentrationBound(inf, inf).
+    that underflows to 0 gives ConcentrationBound(inf, inf).  The
+    percentage is finite wherever per_m3 is.
     """
     if not target_dephasing_time > 0.0:
         raise ValueError("target_dephasing_time must be positive")
     unit = NuclearImpurityChannel(1.0, field, spin_temperature)
     per_m3 = _inverse_square_over(target_dephasing_time, nuclear_impurity_variance(unit))
     site_density = 1.0 / CUTOFF_VOLUME
-    return ConcentrationBound(
-        per_m3=per_m3, percent_of_sites=100.0 * per_m3 / site_density
-    )
+    percent = 100.0 * per_m3 / site_density
+    if percent == math.inf:  # 100 * per_m3 overflowed: divide first
+        percent = 100.0 * (per_m3 / site_density)
+    return ConcentrationBound(per_m3=per_m3, percent_of_sites=percent)
 
 
 # Adiabatic channel type -> (variance function, correlation-time field).

@@ -85,6 +85,8 @@ class TestSweepSpec:
         assert list(grid_values(log)) == pytest.approx([1.0, 10.0, 100.0], rel=1e-12)
 
     def test_validation(self):
+        with pytest.raises(UsageError, match="unknown channel kind: 'bogus'"):
+            SweepSpec("bogus", "field", 1.0, 2.0, 3, "lin")
         with pytest.raises(UsageError):
             SweepSpec("hyperfine", "isotope", 1.0, 2.0, 3, "lin")
         with pytest.raises(UsageError):

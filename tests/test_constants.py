@@ -1,4 +1,4 @@
-"""Constant registry, unit conversions, and thermal variance forms."""
+"""Constant registry and thermal variance forms."""
 
 import math
 
@@ -27,10 +27,6 @@ class TestRegistry:
         assert CONSTANTS.k_boltzmann == 1.38e-23
         assert CONSTANTS.mu0_over_4pi == 1e-7
 
-    def test_mu0_cgs_printed_form(self):
-        # published as 0.4 pi T^2 cm^3 / J
-        assert CONSTANTS.mu0_cgs == pytest.approx(0.4 * math.pi, rel=1e-15)
-
     def test_gyromagnetic_ratios(self):
         assert ELECTRON.gamma == 176e9
         assert PHOSPHORUS_31.gamma == 108e6
@@ -45,17 +41,7 @@ class TestRegistry:
         assert SILICON.hyperfine_constant == 725e6
         assert SILICON.site_density == pytest.approx(5.0e28, rel=1e-15)
 
-    def test_cgs_round_trip_reproduces_printed_values(self):
-        cgs = SILICON.to_cgs()
-        assert cgs["debye_temperature_k"] == 625.0
-        assert cgs["lattice_constant_cm"] == 5.4e-8
-        assert cgs["sound_velocity_cm_per_s"] == 5e5
-        assert cgs["atom_mass_j_s2_per_cm2"] == 0.46e-29
-        assert cgs["hyperfine_constant_rad_per_s"] == 725e6
-        assert cgs["site_density_per_cm3"] == 5.0e22
-        assert MaterialParams.from_cgs(**cgs) == SILICON
-
-    def test_min_distance_is_per_site_volume_root(self):
+    def test_min_distance_is_the_per_site_cube_root(self):
         a = SILICON.min_distance
         assert a ** 3 == pytest.approx(1.0 / SILICON.site_density, rel=1e-14)
         # distinct from the lattice constant; the two densities disagree
@@ -69,7 +55,7 @@ class TestRegistry:
         with pytest.raises(ValueError):
             SpinSpecies("x", 1e6, spin=1.0)
         with pytest.raises(ValueError):
-            MaterialParams.from_cgs(625.0, -1.0, 5e5, 0.46e-29, 725e6, 5e22)
+            MaterialParams(625.0, -1.0, 5e3, 0.46e-25, 725e6, 5e28)
 
 
 class TestBoltzmannRatio:

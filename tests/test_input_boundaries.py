@@ -652,11 +652,11 @@ NAN_ARGUMENTS = {
     "PhysicalConstants(k_boltzmann=inf)": lambda: constants.PhysicalConstants(
         k_boltzmann=math.inf
     ),
-    "MaterialParams.from_cgs(nan, ..., inf, ...)": lambda: constants.MaterialParams.from_cgs(
-        math.nan, 5.4e-8, math.inf, 0.46e-29, 725e6, 5.0e22
+    "MaterialParams(nan, ..., inf)": lambda: constants.MaterialParams(
+        math.nan, 5.4e-10, math.inf, 0.46e-25, 725e6, 5.0e28
     ),
-    "MaterialParams(xi=nan)": lambda: constants.MaterialParams.from_cgs(
-        625.0, 5.4e-8, 5e5, 0.46e-29, 725e6, 5.0e22, xi=math.nan
+    "MaterialParams(xi=nan)": lambda: constants.MaterialParams(
+        625.0, 5.4e-10, 5e3, 0.46e-25, 725e6, 5.0e28, xi=math.nan
     ),
     "SpinSpecies(gamma=nan)": lambda: constants.SpinSpecies("x", math.nan),
     "SpinSpecies(gamma=-inf)": lambda: constants.SpinSpecies("x", -math.inf),
@@ -737,6 +737,10 @@ NAMED_REFUSALS = {
     "required_field_temperature_ratio(725e6, nan)": (
         lambda: mechanisms.required_field_temperature_ratio(725e6, math.nan),
         "a0 and target_dephasing_time must be positive",
+    ),
+    "max_paramagnetic_concentration(1, inf)": (
+        lambda: mechanisms.max_paramagnetic_concentration(1.0, math.inf),
+        "field_temperature_ratio must be finite and nonnegative",
     ),
 }
 

@@ -534,6 +534,22 @@ class TestBoundsOverEveryTarget:
         assert bound(1e-160) == math.inf
         assert bound(math.inf) == 0.0
 
+    def test_percent_of_sites_is_finite_where_the_bound_is(self):
+        # 100 * per_m3 overflows where per_m3 exceeds about 1.8e306 m^-3.
+        site_density = 1.0 / SILICON.min_distance ** 3
+        rng = random.Random(20290)
+        targets = [4e-143] + [10.0 ** rng.uniform(-150.0, -140.0) for _ in range(500)]
+        for target in targets:
+            bound = max_nuclear_impurity_concentration(target, 2.0, 0.8e-3)
+            assert math.isfinite(bound.percent_of_sites) == math.isfinite(bound.per_m3), target
+            if math.isfinite(bound.per_m3):
+                exact = 100 * mpmath.mpf(bound.per_m3) / mpmath.mpf(site_density)
+                assert bound.percent_of_sites == pytest.approx(float(exact), rel=1e-15)
+        assert repr(max_nuclear_impurity_concentration(4e-143, 2.0, 0.8e-3)) == (
+            "ConcentrationBound(per_m3=9.958539178644103e+306, "
+            "percent_of_sites=1.9917078357288284e+280)"
+        )
+
 
 class TestDipolarPins:
     """repr pins: the dipolar variances and bounds keep their exact floats."""
