@@ -9,13 +9,16 @@ arguments, routes, and serializes JSON.  CSV tables are written by
 dephasing.write_csv.
 
 Commands compute, main writes.  main opens every output the command was
-given.  The command then computes all of its outputs and returns them as
-(path, output) pairs in option order, each output either text (JSON is
-encoded by then) or a function that writes a CSV table.  Only then does
-main write them, in that order, to stdout where the path is None.  A run
-that fails removes the files it created, and leaves an existing file it
-had not yet written as it was.  stdout carries only data; errors and
-warnings go to stderr.
+given, once each, and truncates none on opening.  The command then
+computes all of its outputs and returns them as (path, output) pairs in
+option order, each output either text (JSON is encoded by then) or a
+function that writes a CSV table.  Only then does main write them, in that
+order, to stdout where the path is None.  An existing file is overwritten
+in place and then trimmed to its new length, so a write that fails or is
+interrupted leaves exactly the bytes written so far.  A run that fails
+removes the files it created, and leaves an existing file it had not yet
+written as it was.  stdout carries only data; errors and warnings go to
+stderr.
 
 Exit codes: 0 success, 2 usage or config error, 3 simulation plan
 rejected (the message names the smallest adequate n_steps).
@@ -90,45 +93,55 @@ def _json_text(payload) -> str:
     return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write(path: str | None, output: Output) -> None:
-    """One output to path, or to stdout without one."""
-    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
-        if isinstance(output, str):
-            fh.write(output)
-        else:
-            output(fh)
+def _write(fh: TextIO, output: Output) -> None:
+    """One output to an open text stream."""
+    if isinstance(output, str):
+        fh.write(output)
+    else:
+        output(fh)
 
 
-def _open_outputs(args: argparse.Namespace, created: list[str]) -> None:
-    """Open every output the command was given, before it runs.
+def _open_outputs(
+    args: argparse.Namespace, handles: contextlib.ExitStack, created: list[str]
+) -> dict[str, tuple[TextIO, bool]]:
+    """Open every output the command was given, once each, before it runs.
 
     A missing file is created and listed in created; an existing one is
-    opened for append, so its bytes stay as they are.  A command with two
-    outputs thus never writes the first and then fails to open the second.
-    Two outputs that are one regular file, by the same path or through a
-    link, are refused: the second write would replace the first.
+    opened without truncation, so its bytes stay as they are until it is
+    written.  A command with two outputs thus never writes the first and
+    then fails to open the second.  Two outputs that are one regular file,
+    by the same path or through a link, are refused: the second write would
+    replace the first.  Each handle is closed with handles; the result maps
+    each path to its handle and whether that is a regular file.
     """
+    files: dict[str, tuple[TextIO, bool]] = {}
     opened = {}  # (st_dev, st_ino) -> "--flag path" of the output there
     for option in args.outputs:
         path = getattr(args, option)
         if not path:
             continue
         flag = "--" + option.replace("_", "-")
-        existed = os.path.exists(path)  # False for a link to a missing file
-        try:
-            open(path, "a").close()
-        except (IsADirectoryError, FileNotFoundError, NotADirectoryError):
-            if os.path.isdir(path):
-                raise UsageError(f"{flag} {path} is a directory") from None
-            parent = os.path.dirname(path) or "."
-            raise UsageError(f"{flag} {path}: no such directory {parent}") from None
-        if not existed:
-            created.append(os.path.realpath(path))  # the file, not a link to it
-        info = os.stat(path)
+        if path in files:
+            fh = files[path][0]
+        else:
+            existed = os.path.exists(path)  # False for a link to a missing file
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # no O_TRUNC
+            except (IsADirectoryError, FileNotFoundError, NotADirectoryError):
+                if os.path.isdir(path):
+                    raise UsageError(f"{flag} {path} is a directory") from None
+                parent = os.path.dirname(path) or "."
+                raise UsageError(f"{flag} {path}: no such directory {parent}") from None
+            fh = handles.enter_context(open(fd, "w", newline=""))
+            if not existed:
+                created.append(os.path.realpath(path))  # the file, not a link to it
+        info = os.fstat(fh.fileno())  # the file that will be written
         file_id = (info.st_dev, info.st_ino)
         if file_id in opened and stat.S_ISREG(info.st_mode):
             raise UsageError(f"{opened[file_id]} and {flag} {path} are the same file")
         opened[file_id] = f"{flag} {path}"
+        files[path] = fh, stat.S_ISREG(info.st_mode)
+    return files
 
 
 def _config_section(path: str | None, kind: str) -> dict[str, float]:
@@ -442,9 +455,20 @@ def main(argv: list[str] | None = None) -> int:
     code: int | None = None  # None while an exception escapes
     with warnings.catch_warnings(record=True) as caught:
         try:
-            _open_outputs(args, created)
-            for path, output in args.func(args):  # every output computed first
-                _write(path, output)
+            with contextlib.ExitStack() as handles:  # closed before a failed run cleans up
+                files = _open_outputs(args, handles, created)
+                for path, output in args.func(args):  # every output computed first
+                    if path is None:
+                        _write(sys.stdout, output)
+                        continue
+                    fh, regular = files[path]
+                    try:
+                        _write(fh, output)
+                    finally:
+                        # A regular file ends where this write ends, even a
+                        # failed one; /dev/null, a pipe or a tty cannot be cut.
+                        if regular:
+                            fh.truncate()
             code = 0
         except (ValueError, OverflowError, MemoryError, OSError) as exc:
             # UsageError, the library's argument checks, degenerate statistics,
@@ -460,7 +484,8 @@ def main(argv: list[str] | None = None) -> int:
                 # A run that fails or is interrupted leaves only its message:
                 # the files it created go, and an escaping exception goes on.
                 for path in created:
-                    os.remove(path)
+                    with contextlib.suppress(FileNotFoundError):  # already gone
+                        os.remove(path)
     if code:
         return code
     for warning in caught:

@@ -2,7 +2,7 @@
 leaves nothing behind.
 
 A missing output file is created before the command runs; an existing one
-is opened for append and keeps its bytes.  On exit 2 or 3, or when an
+is opened without truncation and keeps its bytes.  On exit 2 or 3, or when an
 exception such as KeyboardInterrupt escapes the command, main removes
 exactly the files this run created, never a path that existed before.
 Warnings reach stderr as one `warning:` line each, on exit 0 only.  Two
