@@ -29,12 +29,11 @@ from .dephasing import decoherence_time
 from .mechanisms import (
     CUTOFF_VOLUME,
     HyperfineElectronChannel,
-    ParamagneticImpurityChannel,
     PhononRamanChannel,
+    _dipolar_variance,
     channel_to_correlation,
     max_nuclear_impurity_concentration,
     max_paramagnetic_concentration,
-    paramagnetic_variance,
     phonon_rate,
     required_field_temperature_ratio,
 )
@@ -95,20 +94,15 @@ def build_audit() -> list[AuditEntry]:
     at_point = f"B = {_REFERENCE_FIELD:g} T, T = {_REFERENCE_TEMPERATURE:g} K"
     at_ratio = f"B/T = {_REFERENCE_RATIO:g}"
     target = f"a {_TARGET_TIME:g} s"
-    x_ref = boltzmann_ratio(ELECTRON.gamma, _REFERENCE_FIELD, _REFERENCE_TEMPERATURE)
     hyperfine = HyperfineElectronChannel(
         field=_REFERENCE_FIELD, temperature=_REFERENCE_TEMPERATURE
     )
+    x_ref = hyperfine.x
     phonon = PhononRamanChannel()
     # Dipolar variance per (concentration * cutoff volume), before thermal
     # suppression; the published number appears to have a flipped decade
     # exponent, which the ratio exposes.
-    paramagnetic_ref = ParamagneticImpurityChannel(
-        concentration=1.0, field=_REFERENCE_FIELD, temperature=_REFERENCE_TEMPERATURE
-    )
-    per_site_fraction = paramagnetic_variance(paramagnetic_ref) / (
-        spin_half_variance(paramagnetic_ref.x) * CUTOFF_VOLUME
-    )
+    per_site_fraction = _dipolar_variance(1.0, ELECTRON.gamma, 1.0) / CUTOFF_VOLUME
     nuclear_bound = max_nuclear_impurity_concentration(
         _TARGET_TIME, _REFERENCE_FIELD, _SPIN_TEMPERATURE
     )

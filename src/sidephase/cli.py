@@ -111,11 +111,19 @@ def _open_outputs(
     written.  A command with two outputs thus never writes the first and
     then fails to open the second.  Two outputs that are one regular file,
     by the same path or through a link, are refused: the second write would
-    replace the first.  Each handle is closed with handles; the result maps
-    each path to its handle and whether that is a regular file.
+    replace the first.  So is an output that is the regular file on stdout,
+    where the command also writes to stdout.  Each handle is closed with
+    handles; the result maps each path to its handle and whether that is a
+    regular file.
     """
     files: dict[str, tuple[TextIO, bool]] = {}
     opened = {}  # (st_dev, st_ino) -> "--flag path" of the output there
+    # audit always prints its table; constants and channel print their
+    # report where --out is not given.
+    if args.func is cmd_audit or not args.out:
+        with contextlib.suppress(OSError):  # no fd 1: nothing to compare
+            info = os.fstat(1)
+            opened[(info.st_dev, info.st_ino)] = "stdout"
     for option in args.outputs:
         path = getattr(args, option)
         if not path:

@@ -191,8 +191,9 @@ def spin_half_variance(x: float) -> float:
 def spin_half_variance_full_arg(x: float) -> float:
     """Variant with tanh of the full ratio: (1 - tanh^2(x))/4 = sech^2(x)/4.
 
-    Not the physical spin-1/2 variance (that is the halved-argument form);
-    retained because the audit contrasts the two, which differ as exp(-2x)
-    versus exp(-x) in the polarized limit.
+    Not the spin-1/2 variance at the ratio x (that is the halved-argument
+    form): the two differ as exp(-2x) versus exp(-x) in the polarized
+    limit, which the audit contrasts.  It is the nuclear impurity channel's
+    thermal factor, and like spin_half_variance it never cancels.
     """
     return spin_half_variance(2.0 * x)

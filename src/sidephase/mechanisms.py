@@ -16,9 +16,12 @@ Dilute dipolar variances follow the concentration x single-site second
 moment form: the angular average of (1 - 3 cos^2 theta)^2 over the sphere
 is 4/5, the radial integral of r^-6 from the cutoff a is 1/(3 a^3), and
 their product with the full solid angle gives 16 pi / (15 a^3).  The
-cutoff a is the per-site distance, a^3 = 1/site_density.  Both channels
-and the dilute-expansion check read the cutoff volume a^3 and that factor
-from CUTOFF_VOLUME and DIPOLAR_GEOMETRY.
+cutoff a is the per-site distance, a^3 = 1/site_density.  Both impurity
+channels form their variance in _dipolar_variance, as that second moment
+times a spin-1/2 thermal factor from the constants module: the
+paramagnetic channel's sech^2(x/2)/4, the nuclear channel's sech^2(x)/4.
+The channels, the dilute-expansion check and the audit read the cutoff
+volume a^3 and the geometry factor from CUTOFF_VOLUME and DIPOLAR_GEOMETRY.
 
 A channel holds only its own parameters (its config keys).  The
 gyromagnetic ratios, the cutoff and the silicon material parameters are
@@ -42,6 +45,7 @@ from .constants import (
     _require_domain,
     boltzmann_ratio,
     spin_half_variance,
+    spin_half_variance_full_arg,
 )
 from .dephasing import ExponentialCorrelation, _is_normal
 
@@ -254,25 +258,29 @@ class ParamagneticImpurityChannel:
         return boltzmann_ratio(ELECTRON.gamma, self.field, self.temperature)
 
 
-def _dipolar_prefactor(gamma_a: float, gamma_b: float) -> float:
-    """((mu0/4pi) gamma_a gamma_b hbar)^2, (rad/s)^2 m^6."""
-    return (CONSTANTS.mu0_over_4pi * gamma_a * gamma_b * CONSTANTS.hbar) ** 2
+def _dipolar_variance(concentration: float, gamma: float, thermal: float) -> float:
+    """C ((mu0/4pi) gamma_i gamma hbar)^2 (16 pi/(15 a^3)) thermal, in (rad/s)^2.
+
+    The dilute dipolar second moment of impurities with gyromagnetic ratio
+    gamma, felt by the donor nucleus, times their thermal spin variance.
+    """
+    coupling = (CONSTANTS.mu0_over_4pi * PHOSPHORUS_31.gamma * gamma * CONSTANTS.hbar) ** 2
+    return concentration * coupling * DIPOLAR_GEOMETRY * thermal
 
 
 def paramagnetic_variance(channel: ParamagneticImpurityChannel) -> float:
     """C ((mu0/4pi) gamma_i gamma_s hbar)^2 (16 pi/(15 a^3)) shv(x)."""
-    coupling = _dipolar_prefactor(PHOSPHORUS_31.gamma, ELECTRON.gamma)
-    return channel.concentration * coupling * DIPOLAR_GEOMETRY * spin_half_variance(channel.x)
+    return _dipolar_variance(channel.concentration, ELECTRON.gamma, spin_half_variance(channel.x))
 
 
 @dataclass(frozen=True)
 class NuclearImpurityChannel:
     """Dipolar noise from dilute host nuclear spins (e.g. the 29 isotope).
 
-    Same geometry as the paramagnetic channel but the 4 pi/15 factor already
-    folds in the spin-1/2 quarter, and the thermal factor is evaluated
-    literally as 1 - tanh^2 of the full ratio at the nuclear spin
-    temperature.  t_parallel_imp is the impurity longitudinal flip time.
+    Same dipolar variance as the paramagnetic channel, with the thermal
+    factor sech^2(x)/4 = (1 - tanh^2 x)/4 of the full ratio at the nuclear
+    spin temperature (spin_half_variance_full_arg), which never cancels.
+    t_parallel_imp is the impurity longitudinal flip time.
     """
 
     concentration: float = 2.25e25
@@ -294,11 +302,9 @@ class NuclearImpurityChannel:
 
 
 def nuclear_impurity_variance(channel: NuclearImpurityChannel) -> float:
-    """C ((mu0/4pi) gamma_i gamma_imp hbar)^2 (4 pi/(15 a^3)) (1-tanh^2 x)."""
-    coupling = _dipolar_prefactor(PHOSPHORUS_31.gamma, SILICON_29.gamma)
-    thermal = 1.0 - math.tanh(channel.polarization_x) ** 2
-    # 4 pi/(15 a^3) exactly: scaling by a power of two does not round.
-    return channel.concentration * coupling * (0.25 * DIPOLAR_GEOMETRY) * thermal
+    """C ((mu0/4pi) gamma_i gamma_imp hbar)^2 (16 pi/(15 a^3)) sech^2(x)/4."""
+    thermal = spin_half_variance_full_arg(channel.polarization_x)
+    return _dipolar_variance(channel.concentration, SILICON_29.gamma, thermal)
 
 
 def required_field_temperature_ratio(a0: float, target_dephasing_time: float) -> float:
@@ -391,9 +397,11 @@ def max_nuclear_impurity_concentration(
     """Largest nuclear-impurity concentration keeping the static time.
 
     Inverts nuclear_impurity_variance, which is linear in concentration:
-    target^-2 over the variance at unit concentration.  A thermal factor
-    that underflows to 0 gives ConcentrationBound(inf, inf).  The
-    percentage is finite wherever per_m3 is.
+    target^-2 over the variance at unit concentration.  A variance too
+    small for its inverse gives ConcentrationBound(inf, inf): at 2 T, below
+    a spin temperature of about 2.4 uK for a 1 s target, and for every
+    target below about 2.3 uK, where the variance at unit concentration
+    underflows to 0.  The percentage is finite wherever per_m3 is.
     """
     if not target_dephasing_time > 0.0:
         raise ValueError("target_dephasing_time must be positive")

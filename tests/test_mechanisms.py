@@ -21,6 +21,7 @@ from sidephase.constants import (
     SILICON_29,
     boltzmann_ratio,
     spin_half_variance,
+    spin_half_variance_full_arg,
 )
 from sidephase.dephasing import bisect_from, gamma_exact, gamma_static
 from sidephase.mechanisms import (
@@ -401,6 +402,53 @@ class TestNuclearImpurityChannel:
         assert bound == ConcentrationBound(math.inf, math.inf)
 
 
+class TestNuclearThermalFactor:
+    """The nuclear factor sech^2(x)/4 keeps its digits at every x."""
+
+    # The dipolar prefactor at unit concentration: the zero-field variance
+    # over its factor 1/4, which is exact.  The factor is read from a
+    # channel whose prefactor is near 1, so that the variance stays a
+    # normal float wherever the factor is one.
+    unit_prefactor = 4.0 * nuclear_impurity_variance(NuclearImpurityChannel(1.0, 0.0, 1.0))
+    concentration = 1.0 / unit_prefactor
+    prefactor = 4.0 * nuclear_impurity_variance(NuclearImpurityChannel(concentration, 0.0, 1.0))
+    field_per_x = 1.0 / boltzmann_ratio(SILICON_29.gamma, 1.0, 1.0)  # T at 1 K
+
+    @staticmethod
+    def exact(x):
+        with mpmath.workdps(60):
+            return mpmath.sech(mpmath.mpf(x)) ** 2 / 4
+
+    def test_against_mpmath_where_the_factor_is_normal(self):
+        # sech^2(x)/4 is a normal float up to x = 354.19.
+        rng = random.Random(31)
+        xs = [0.0, 1e-8, 0.006, 1.0, 354.0] + [rng.uniform(0.0, 354.0) for _ in range(3000)]
+        for target_x in xs:
+            channel = NuclearImpurityChannel(self.concentration, target_x * self.field_per_x, 1.0)
+            factor = nuclear_impurity_variance(channel) / self.prefactor
+            exact = self.exact(channel.polarization_x)
+            assert abs(factor - exact) <= 1e-15 * exact, target_x
+
+    def test_subnormal_tail_is_the_nearest_float(self):
+        # Every value here is below 2^-1021, where the ulp is 2^-1074.
+        # mpmath's own float() rounds a subnormal twice, so the distance
+        # is compared instead.
+        half_ulp = mpmath.mpf(2) ** -1075
+        for x in np.linspace(354.0, 380.0, 2001).tolist():
+            got = spin_half_variance_full_arg(x)
+            assert abs(mpmath.mpf(got) - self.exact(x)) <= half_ulp, x
+
+    def test_bound_is_finite_at_40_microkelvin(self):
+        # The old 1 - tanh^2 form was exactly 0 here.
+        bound = max_nuclear_impurity_concentration(1.0, 2.0, 4e-5)
+        x = NuclearImpurityChannel(1.0, 2.0, 4e-5).polarization_x
+        with mpmath.workdps(60):
+            exact = 1 / (mpmath.mpf(self.unit_prefactor) * self.exact(x))
+        assert math.isfinite(bound.per_m3)
+        assert abs(bound.per_m3 - exact) <= 1e-12 * exact
+        assert 5.38e38 < bound.per_m3 < 5.39e38
+
+
 class TestChannelToCorrelation:
     def test_hyperfine_mapping(self):
         ch = HyperfineElectronChannel()
@@ -572,9 +620,9 @@ class TestDipolarPins:
     @pytest.mark.parametrize(
         "args,expected",
         [
-            ((2.25e25, 2.0, 0.8e-3, 1e4), "1412.1047020788717"),
+            ((2.25e25, 2.0, 0.8e-3, 1e4), "1412.104702078872"),
             ((1.0, 2.0, 0.8e-3, 1e4), "6.276020898128318e-23"),
-            ((4.1e26, 0.3, 2e-2, 1.0), "62034.662513393385"),
+            ((4.1e26, 0.3, 2e-2, 1.0), "62034.66251339338"),
             ((1e28, 0.0, 1.0, 1e4), "1513095.9109510826"),
         ],
     )
@@ -600,7 +648,7 @@ class TestDipolarPins:
         [
             ((1.0, 2.0, 0.8e-3), "1.5933662685830563e+22", "3.186732537166125e-05"),
             ((0.01, 0.0, 1.0), "6.6089663765691675e+25", "0.13217932753138387"),
-            ((3.0, 1.5, 1e-4), "3.2949967732592723e+25", "0.0658999354651857"),
+            ((3.0, 1.5, 1e-4), "3.2949967732640127e+25", "0.06589993546528052"),
         ],
     )
     def test_max_nuclear_impurity_concentration(self, args, per_m3, percent):

@@ -6,15 +6,19 @@ is opened without truncation and keeps its bytes.  On exit 2 or 3, or when an
 exception such as KeyboardInterrupt escapes the command, main removes
 exactly the files this run created, never a path that existed before.
 Warnings reach stderr as one `warning:` line each, on exit 0 only.  Two
-outputs that are one regular file are refused with exit 2.
+outputs that are one regular file are refused with exit 2, and so is an
+output that is the regular file on stdout of a command that prints there.
 """
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import sidephase
 from sidephase import cli
 from sidephase.cli import main
 
@@ -228,3 +232,44 @@ def test_interrupted_run_removes_what_it_created(tmp_path, monkeypatch, where, e
     assert [p.name for p in tmp_path.iterdir()] == (["r.json"] if existing else [])
     if where == "build_channel":
         assert report.read_bytes() == OLD
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sidephase.__file__)))
+
+
+def _run_to_file(argv, stdout_path):
+    """Run the CLI in a new interpreter with stdout on a regular file."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    with open(stdout_path, "wb") as fh:
+        return subprocess.run(
+            [sys.executable, "-m", "sidephase.cli", *argv],
+            stdout=fh, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["audit", "--out", "/dev/stdout"], "--out"),
+        (["channel", "hyperfine", "--t-max", "1e-3", "--profile-out", "/dev/stdout"],
+         "--profile-out"),
+    ],
+    ids=["audit-out", "channel-profile-out"],
+)
+def test_output_on_the_commands_own_stdout_is_refused(tmp_path, argv, flag):
+    # Both writes would land in one file, the second over the first.
+    proc = _run_to_file(argv, tmp_path / "f.txt")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: stdout and {flag} /dev/stdout are the same file\n"
+    assert (tmp_path / "f.txt").read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_on_stdout_of_a_command_that_does_not_print_there(tmp_path):
+    # sweep writes only its --out, so /dev/stdout is one more file for it.
+    proc = _run_to_file(SWEEP + ["--out", "/dev/stdout"], tmp_path / "f.csv")
+    assert proc.returncode == 0, proc.stderr
+    assert main(SWEEP + ["--out", str(tmp_path / "s.csv")]) == 0
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()

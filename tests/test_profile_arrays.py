@@ -65,8 +65,8 @@ GOLDEN = [
     ("hyperfine", "1e9", "7dd963674e1216d38acec8a04127564d8fcd5b00ceb8de610c18bb23f3a9dffb"),
     ("paramagnetic", "4.0", "00ca0472e6f310a81183d0fc161cf39b015e117ebd8228433717b4dedb2f8110"),
     ("paramagnetic", "1e6", "5101e3f05c49a30e74e282ad8aafa6854281dbb0bcbb172b36fe698fabc8d760"),
-    ("nuclear", "0.11", "7e7c75d56587a31bf5153fc22f1b7aa43b14e0901045c0bd5744589477fb3785"),
-    ("nuclear", "1e5", "e18d5ed90668339cd6e84b0998445497ee372a3743fd63fe6c2f898ac13c3e6d"),
+    ("nuclear", "0.11", "1596d079b3f7a7d4864230fae42d8359d6c156ae9b569e068e53258c0f079fd5"),
+    ("nuclear", "1e5", "c9ee2fd7f419e1ba15dfb9789248abd03e0ad20402de70f33ff944bce046045d"),
     ("phonon", "1.3e23", "d2f319a8077c696512aa252ae1bd14805ab1088672dd88867a225b2a7ccedeaa"),
 ]
 
