@@ -150,12 +150,21 @@ def _debye_integrand(x: float) -> float:
     return x ** 6 * math.exp(-x) / math.expm1(-x) ** 2
 
 
-_DEBYE_BREAKS = (0.0, 2.0, 8.0, 20.0, 60.0, 200.0)
+_DEBYE_BREAKS = (0.0, 2.0, 8.0, 20.0)
+
+# From u = 60 on, the integral is this one float: the left-to-right sum from
+# 0.0 of the quadratures of [0, 2], [2, 8], [8, 20] and [20, 60], one ulp
+# below the correctly rounded 16 pi^6/21.  The tail beyond 60 adds 4.53e-16
+# (mpmath), under half an ulp of the total (5.68e-14), so a quadrature of
+# [60, u] added to that sum rounds back to it for every u >= 60.
+_DEBYE_SATURATION = 60.0
+_DEBYE_SATURATED = 732.4870046288032
 
 
 def _debye_segment(lo: float, hi: float) -> float:
     # Imported here, not at module level: scipy.integrate takes about a
-    # second to import, and only the exact-integral phonon rate needs it.
+    # second to import, and only a Debye integral below the saturation
+    # argument needs it.
     from scipy.integrate import quad
 
     value, _ = quad(_debye_integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
@@ -167,7 +176,7 @@ def _debye_running_sums() -> tuple[float, ...]:
     """The integral up to each break, as a read-only tuple built on first use.
 
     Entry k sums the fixed segments below break k left to right from 0.0,
-    so entry 0 is 0.0.
+    so entry 0 is 0.0.  Only arguments below _DEBYE_SATURATION read it.
     """
     sums = [0.0]
     for lo, hi in zip(_DEBYE_BREAKS, _DEBYE_BREAKS[1:]):
@@ -179,15 +188,19 @@ def debye_integral(u: float) -> float:
     """integral_0^u x^6 e^x/(e^x - 1)^2 dx.
 
     Tends to 6! zeta(6) = 720 pi^6/945 ~ 732.487 as u -> inf and to u^5/5
-    for small u.  Piecewise adaptive quadrature; the integrand peaks near
-    x ~ 6 and the breaks 0, 2, 8, 20, 60 and 200 keep that bump resolved
-    for any u.  The fixed segments [0, 2], [2, 8], [8, 20], [20, 60] and
-    [60, 200] do not depend on u: their quadratures are made once, on first
-    use, and summed left to right from 0.0.  Each call adds to the sum of
-    the segments below u one quadrature, from the last break below u to u.
+    for small u.  From u = 60 on (T <= Theta/60, about 10.4 K) the integral
+    is within half an ulp of its limit and the saturated float is returned,
+    with no quadrature.  Below 60 it is piecewise adaptive quadrature: the
+    integrand peaks near x ~ 6, and the breaks 0, 2, 8 and 20 keep that bump
+    resolved.  The fixed segments [0, 2], [2, 8] and [8, 20] do not depend
+    on u: their quadratures are made once, on first use, and summed left to
+    right from 0.0.  Each call adds to the sum of the segments below u one
+    quadrature, from the last break below u to u.
     """
     if not u > 0.0:
         raise ValueError("u must be positive")
+    if u >= _DEBYE_SATURATION:
+        return _DEBYE_SATURATED
     k = sum(b < u for b in _DEBYE_BREAKS) - 1
     return _debye_running_sums()[k] + _debye_segment(_DEBYE_BREAKS[k], u)
 
@@ -372,8 +385,10 @@ def max_paramagnetic_concentration(
 
     Inverts paramagnetic_variance, which is linear in concentration:
     target^-2 over the variance at unit concentration.  At 1 K the field
-    equals the B/T ratio.  A thermal factor that underflows to 0 leaves no
-    variance, and the bound is math.inf.
+    equals the B/T ratio.  A variance too small for its inverse gives
+    math.inf: for a 1 s target, from a B/T of about 505.7 T/K, before the
+    variance at unit concentration underflows to 0 (about 532.1) or its
+    thermal factor does (about 556.4).
     """
     if not target_dephasing_time > 0.0:
         raise ValueError("target_dephasing_time must be positive")

@@ -1,10 +1,10 @@
 """The Debye integral's bits and its work, pinned against the per-segment loop.
 
-debye_integral adds the quadratures of the segments [0, 2], [2, 8], [8, 20],
-[20, 60], [60, 200] and [200, u], cut at u.  The reference below makes every
-one of those quad calls for each u and sums them left to right from 0.0; the
+The reference below adds the quadratures of the segments [0, 2], [2, 8],
+[8, 20], [20, 60], [60, 200] and [200, u], cut at u, making every one of
+those quad calls for each u and summing them left to right from 0.0.  The
 library must give the same bits while integrating only the last segment per
-call.
+call below u = 60, and no segment from 60 on, where the sum no longer moves.
 """
 
 import math
@@ -53,8 +53,21 @@ def test_bits_equal_the_per_segment_loop():
     assert [repr(debye_integral(u)) for u in arguments] == expected
 
 
-@pytest.mark.parametrize("u", [70.0, 200.0, 6250.0, 1.0])
-def test_one_quad_call_per_value(monkeypatch, u):
+# Exactly one quad call below the saturation argument 60, none from it on.
+QUAD_CALLS = [
+    (1.0, 1),
+    (30.0, 1),
+    (math.nextafter(60.0, 0.0), 1),
+    (60.0, 0),
+    (70.0, 0),
+    (200.0, 0),
+    (6250.0, 0),
+    (math.inf, 0),
+]
+
+
+@pytest.mark.parametrize("u, quad_calls", QUAD_CALLS, ids=[str(u) for u, _ in QUAD_CALLS])
+def test_one_quad_call_per_value(monkeypatch, u, quad_calls):
     debye_integral(1.0)  # builds the fixed segments' sums
     quad = scipy.integrate.quad
     calls = []
@@ -65,7 +78,7 @@ def test_one_quad_call_per_value(monkeypatch, u):
 
     monkeypatch.setattr(scipy.integrate, "quad", counted)
     debye_integral(u)
-    assert len(calls) == 1, calls
+    assert len(calls) == quad_calls, calls
 
 
 @pytest.mark.parametrize("u", [0.0, -0.0, -1.0, -math.inf, math.nan])
@@ -75,7 +88,8 @@ def test_nonpositive_and_nan_arguments_are_refused(u):
 
 
 def test_infinite_argument_gives_the_full_integral():
-    # 6! zeta(6) = 8 pi^6 / 63 = 732.48700462880...
+    # 6! zeta(6) = 720 pi^6 / 945 = 16 pi^6 / 21 = 732.48700462880338...; the
+    # pinned float is one ulp below its correctly rounded 732.4870046288033.
     assert repr(debye_integral(math.inf)) == "732.4870046288032"
 
 

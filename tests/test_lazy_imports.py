@@ -76,11 +76,59 @@ def test_lazy_imports_give_the_in_process_values():
         "from sidephase.mechanisms import debye_integral\n"
         "from sidephase.montecarlo import SimulationPlan, generate_trajectory\n"
         "print(repr(debye_integral(6250.0)))\n"
+        "print(repr(debye_integral(30.0)))\n"
         f"print(repr({TRAJECTORY}))\n"
         "print('scipy.integrate' in sys.modules, 'scipy.signal' in sys.modules)\n"
     )
     trajectory = eval(TRAJECTORY)
-    assert lines == [repr(debye_integral(6250.0)), repr(trajectory), "True True"]
+    assert lines == [
+        repr(debye_integral(6250.0)), repr(debye_integral(30.0)), repr(trajectory), "True True"
+    ]
+
+
+# `channel phonon` at 20 K (Theta/T = 31.25, below the Debye integral's
+# saturation argument 60), as the quadrature path has always printed it.
+PHONON_20K_REPORT = """{
+  "channel": "phonon",
+  "decoherence_time_s": 3470376.5974617037,
+  "flags": {
+    "infinite_decoherence_time": false,
+    "insignificant": false,
+    "low_temperature_valid": false
+  },
+  "parameters": {
+    "temperature": 20.0
+  },
+  "rates_per_s": {
+    "exact-integral": 2.8815316491340395e-07,
+    "factorial-approx": 2.8324091226812247e-07
+  }
+}
+"""
+
+
+def test_phonon_quadrature_loads_scipy_only_below_the_saturation(tmp_path):
+    # The benchmark's phonon sweeps reach at most 10 K (Theta/T = 62.5).
+    config = tmp_path / "phonon.ini"
+    config.write_text("[phonon]\ntemperature = 20.0\n")
+    sweeps = [
+        ["sweep", "--channel", "phonon", "--param", "temperature",
+         "--grid", f"0.05:10:48:{scale}", "--out", str(tmp_path / f"{scale}.csv")]
+        for scale in ("lin", "log")
+    ]
+    lines = _fresh(
+        "import contextlib, io, sys\n"
+        "import sidephase.cli\n"
+        f"for argv in {sweeps!r}:\n"
+        "    code = sidephase.cli.main(argv)\n"
+        f"    print(code, {SCIPY_LOADED})\n"
+        "report = io.StringIO()\n"
+        "with contextlib.redirect_stdout(report):\n"
+        f"    code = sidephase.cli.main(['channel', 'phonon', '--config', {str(config)!r}])\n"
+        "print(code, 'scipy.integrate' in sys.modules)\n"
+        "print(repr(report.getvalue()))\n"
+    )
+    assert lines == ["0 []", "0 []", "0 True", repr(PHONON_20K_REPORT)]
 
 
 # What a closed-form report must not load.
@@ -91,7 +139,7 @@ NUMPY_FREE_COMMANDS = [["constants"], ["audit"]] + [
     ["channel", kind, "--convention", convention]
     for kind in ("hyperfine", "paramagnetic", "nuclear")
     for convention in ("static", "markovian", "unit-gamma")
-]
+] + [["channel", "phonon"]]
 
 # The names the package exported when it imported every module eagerly,
 # by defining module.
