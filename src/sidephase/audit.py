@@ -27,6 +27,9 @@ from .constants import (
 )
 from .dephasing import decoherence_time
 from .mechanisms import (
+    _FIELD,
+    _SPIN_TEMPERATURE,
+    _TEMPERATURE,
     CUTOFF_VOLUME,
     HyperfineElectronChannel,
     PhononRamanChannel,
@@ -40,12 +43,9 @@ from .mechanisms import (
 
 __all__ = ["AuditEntry", "build_audit", "render_table", "classify_ratio"]
 
-_REFERENCE_FIELD = 2.0  # T
-_REFERENCE_TEMPERATURE = 0.1  # K
 # The B/T operating point quoted with most estimates: exactly 20.0 in binary64.
-_REFERENCE_RATIO = _REFERENCE_FIELD / _REFERENCE_TEMPERATURE  # T/K
+_REFERENCE_RATIO = _FIELD / _TEMPERATURE  # T/K
 _TARGET_TIME = 1.0  # s, the dephasing time the thresholds and bounds keep
-_SPIN_TEMPERATURE = 0.8e-3  # K, the published host nuclear spin temperature
 
 
 @dataclass(frozen=True)
@@ -87,25 +87,22 @@ def build_audit() -> list[AuditEntry]:
     """Recompute every published estimate and classify the agreement.
 
     Each claim is one row of the table below: id, description, published
-    value, computed value, units.  The rows share the operating point set
-    by the module constants and the values computed once above the table;
-    the descriptions are formatted from the same constants.
+    value, computed value, units.  The rows share the operating point,
+    read from mechanisms as the channels' defaults are, and the values
+    computed once above the table; the descriptions are formatted from the
+    same constants.
     """
-    at_point = f"B = {_REFERENCE_FIELD:g} T, T = {_REFERENCE_TEMPERATURE:g} K"
+    at_point = f"B = {_FIELD:g} T, T = {_TEMPERATURE:g} K"
     at_ratio = f"B/T = {_REFERENCE_RATIO:g}"
     target = f"a {_TARGET_TIME:g} s"
-    hyperfine = HyperfineElectronChannel(
-        field=_REFERENCE_FIELD, temperature=_REFERENCE_TEMPERATURE
-    )
+    hyperfine = HyperfineElectronChannel()
     x_ref = hyperfine.x
     phonon = PhononRamanChannel()
     # Dipolar variance per (concentration * cutoff volume), before thermal
     # suppression; the published number appears to have a flipped decade
     # exponent, which the ratio exposes.
     per_site_fraction = _dipolar_variance(1.0, ELECTRON.gamma, 1.0) / CUTOFF_VOLUME
-    nuclear_bound = max_nuclear_impurity_concentration(
-        _TARGET_TIME, _REFERENCE_FIELD, _SPIN_TEMPERATURE
-    )
+    nuclear_bound = max_nuclear_impurity_concentration(_TARGET_TIME, _FIELD, _SPIN_TEMPERATURE)
     table = [
         ("polarization-ratio", f"electron Zeeman-to-thermal ratio at {at_point}",
          27.0, x_ref, "dimensionless"),
@@ -125,7 +122,7 @@ def build_audit() -> list[AuditEntry]:
          0.7e20, max_paramagnetic_concentration(_TARGET_TIME, _REFERENCE_RATIO) * 1e-6, "1/cm^3"),
         ("impurity-polarization-temperature",
          "spin temperature where the host nuclear Zeeman ratio reaches 1",
-         _SPIN_TEMPERATURE, boltzmann_ratio(SILICON_29.gamma, _REFERENCE_FIELD, 1.0), "K"),
+         _SPIN_TEMPERATURE, boltzmann_ratio(SILICON_29.gamma, _FIELD, 1.0), "K"),
         ("impurity-concentration-bound", f"host nuclear-spin fraction bound for {target} time "
          "(literal thermal factor; large disagreement is the finding)",
          4.5e-2, nuclear_bound.percent_of_sites, "% of sites"),

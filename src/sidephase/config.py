@@ -170,8 +170,8 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
         return np.linspace(spec.grid_min, spec.grid_max, spec.count)
     # np.geomspace's points, each power taken by Python's float pow (the
     # platform libm) rather than numpy's power loop, whose AVX-512 form
-    # rounds apart from the others.  The ends are the bounds, as there.
+    # rounds apart from the others.  The ends are the bounds, as there, so
+    # only the interior points are powers: 10.0 ** log10(hi) can overflow.
     exponents = np.linspace(math.log10(spec.grid_min), math.log10(spec.grid_max), spec.count)
-    points = np.array([10.0 ** y for y in exponents.tolist()])
-    points[0], points[-1] = spec.grid_min, spec.grid_max
-    return points
+    interior = [10.0 ** y for y in exponents[1:-1].tolist()]
+    return np.array([spec.grid_min, *interior, spec.grid_max])

@@ -165,6 +165,20 @@ def _is_normal(value: float) -> bool:
     return sys.float_info.min <= value < math.inf
 
 
+def _reciprocal(*factors: float) -> float:
+    """1/(f1 f2 ...) of positive finite floats, rounded once.
+
+    The quotient of the factors' exact integer ratios, so no product of
+    the factors under- or overflows on the way: inf where it exceeds the
+    largest float.
+    """
+    ratios = [factor.as_integer_ratio() for factor in factors]
+    try:
+        return math.prod(d for _, d in ratios) / math.prod(n for n, _ in ratios)
+    except OverflowError:
+        return math.inf
+
+
 def _is_array(value) -> bool:
     """Whether value is an ndarray; none can exist before numpy is loaded."""
     np = sys.modules.get("numpy")
@@ -343,14 +357,8 @@ def decoherence_time(
             raise ValueError("markovian convention is undefined for static noise")
         if rate >= sys.float_info.min:
             return 1.0 / rate
-        # The rate has lost digits below the normal range: divide its
-        # factors' exact ratios as integers, which rounds once.
-        n_variance, d_variance = correlation.variance.as_integer_ratio()
-        n_tau, d_tau = correlation.tau_c.as_integer_ratio()
-        try:
-            return d_variance * d_tau / (n_variance * n_tau)
-        except OverflowError:
-            return math.inf
+        # The rate has lost digits below the normal range; its factors' have not.
+        return _reciprocal(correlation.variance, correlation.tau_c)
     if rate == 0.0:
         # Gamma(t) < variance tau_c t, below 5e-324 t, is under 1 at every finite t.
         return math.inf

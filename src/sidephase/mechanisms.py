@@ -47,7 +47,7 @@ from .constants import (
     spin_half_variance,
     spin_half_variance_full_arg,
 )
-from .dephasing import ExponentialCorrelation, _is_normal
+from .dephasing import ExponentialCorrelation, _is_normal, _reciprocal
 
 __all__ = [
     "HyperfineElectronChannel",
@@ -69,6 +69,13 @@ __all__ = [
     "CUTOFF_VOLUME",
     "DIPOLAR_GEOMETRY",
 ]
+
+# The paper's operating point, every channel's default: field (T), bath
+# temperature (K) and host nuclear spin temperature (K).  The audit reads
+# them too.
+_FIELD = 2.0
+_TEMPERATURE = 0.1
+_SPIN_TEMPERATURE = 0.8e-3
 
 # a^3 in m^3, and 16 pi / (15 a^3) in 1/m^3.
 CUTOFF_VOLUME = SILICON.min_distance ** 3
@@ -94,8 +101,8 @@ class HyperfineElectronChannel:
     """
 
     a0: float = SILICON.hyperfine_constant
-    field: float = 2.0
-    temperature: float = 0.1
+    field: float = _FIELD
+    temperature: float = _TEMPERATURE
     tau1: float = 1e4
 
     def __post_init__(self) -> None:
@@ -124,7 +131,7 @@ class PhononRamanChannel:
     at low temperature.  Not reducible to a variance/correlation pair.
     """
 
-    temperature: float = 0.1
+    temperature: float = _TEMPERATURE
 
     def __post_init__(self) -> None:
         _require_domain(self)
@@ -259,8 +266,8 @@ class ParamagneticImpurityChannel:
     """
 
     concentration: float = 0.7e26
-    field: float = 2.0
-    temperature: float = 0.1
+    field: float = _FIELD
+    temperature: float = _TEMPERATURE
     tau1_imp: float = 1e4
 
     def __post_init__(self) -> None:
@@ -297,8 +304,8 @@ class NuclearImpurityChannel:
     """
 
     concentration: float = 2.25e25
-    field: float = 2.0
-    spin_temperature: float = 0.8e-3
+    field: float = _FIELD
+    spin_temperature: float = _SPIN_TEMPERATURE
     t_parallel_imp: float = 1e4
 
     def __post_init__(self) -> None:
@@ -370,12 +377,7 @@ def _inverse_square_over(target: float, variance: float) -> float:
         inverse_square = math.inf
     if _is_normal(inverse_square) or target == math.inf:
         return inverse_square / variance
-    t_num, t_den = target.as_integer_ratio()
-    v_num, v_den = variance.as_integer_ratio()
-    try:
-        return t_den * t_den * v_den / (t_num * t_num * v_num)
-    except OverflowError:
-        return math.inf
+    return _reciprocal(target, target, variance)
 
 
 def max_paramagnetic_concentration(

@@ -90,7 +90,8 @@ _Q_SERIES = (1 / 6, -1 / 60, 17 / 10080, -31 / 181440, 691 / 39916800)
 class PlanRejectedError(ValueError):
     """Plan resolution is too coarse; carries the minimal adequate n_steps.
 
-    required_n_steps is an int, or math.inf when the count overflows a float.
+    required_n_steps is an int, or math.inf when the count overflows a float
+    or the step limit underflows to 0 s.
     """
 
     def __init__(self, message: str, required_n_steps: int | float) -> None:
@@ -114,7 +115,8 @@ class SimulationPlan:
     correlation time (dt <= tau_c/20) and the per-step phase increment
     (dt <= 0.05/sqrt(variance)).  Only the stepwise reference needs that
     resolution; the exact sampler keeps it as the plan contract.  When no
-    n_steps up to 2**53 would do, the message asks for a shorter t_max.
+    n_steps up to 2**53 would do, the message asks for a shorter t_max.  A
+    dt that underflows to 0 s is refused as a bad argument.
     """
 
     correlation: ExponentialCorrelation
@@ -132,16 +134,21 @@ class SimulationPlan:
             raise ValueError("n_steps must be at most 2**53")
         if not 0 <= self.master_seed < _MAX_SEED:
             raise ValueError("master_seed must fit in 64 bits")
+        if self.dt == 0.0:
+            raise ValueError("dt = t_max/n_steps underflows to 0 s; raise t_max or lower n_steps")
         dt_max = math.inf
         if not self.correlation.is_static:
             dt_max = self.correlation.tau_c / 20.0
         if self.correlation.variance > 0.0:
             dt_max = min(dt_max, 0.05 / math.sqrt(self.correlation.variance))
         if self.dt > dt_max:
-            steps = self.t_max / dt_max
+            # A limit that underflows to 0 s leaves no positive dt fine enough.
+            steps = self.t_max / dt_max if dt_max > 0.0 else math.inf
             required = math.ceil(steps) if math.isfinite(steps) else math.inf
             advice = f"use n_steps >= {required}"
-            if steps > _MAX_STEPS:
+            if dt_max == 0.0:
+                advice = "tau_c/20 underflows to 0 s; no n_steps resolves it"
+            elif steps > _MAX_STEPS:
                 count = Decimal(self.t_max) / Decimal(dt_max)
                 advice = f"needs ~{count:.3g} steps; shorten t_max"
             raise PlanRejectedError(

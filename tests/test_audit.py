@@ -155,3 +155,38 @@ class TestRenderTable:
         assert "typo-suspected" in text
         assert "discrepant" in text
         assert "match" in text
+
+
+class TestOperatingPoint:
+    """The audit is evaluated at the channels' default operating point."""
+
+    def test_channels_share_one_operating_point(self):
+        from sidephase.mechanisms import (
+            HyperfineElectronChannel,
+            NuclearImpurityChannel,
+            ParamagneticImpurityChannel,
+            PhononRamanChannel,
+        )
+
+        hyperfine, paramagnetic = HyperfineElectronChannel(), ParamagneticImpurityChannel()
+        assert hyperfine.field == paramagnetic.field == NuclearImpurityChannel().field == 2.0
+        temperatures = {hyperfine.temperature, paramagnetic.temperature}
+        assert temperatures | {PhononRamanChannel().temperature} == {0.1}
+        assert NuclearImpurityChannel().spin_temperature == 0.8e-3
+
+    def test_polarization_ratio_is_the_default_hyperfine_x(self, entries):
+        from sidephase.mechanisms import HyperfineElectronChannel
+
+        row = next(e for e in entries if e.claim_id == "polarization-ratio")
+        assert row.computed_value == HyperfineElectronChannel().x
+
+    def test_nuclear_bound_is_at_the_default_nuclear_channel(self, entries):
+        from sidephase.mechanisms import (
+            NuclearImpurityChannel,
+            max_nuclear_impurity_concentration,
+        )
+
+        d = NuclearImpurityChannel()
+        bound = max_nuclear_impurity_concentration(1.0, d.field, d.spin_temperature)
+        row = next(e for e in entries if e.claim_id == "impurity-concentration-bound")
+        assert row.computed_value == bound.percent_of_sites

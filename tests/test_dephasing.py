@@ -328,3 +328,67 @@ class TestProfile:
     def test_single_negative_value_is_named_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DecoherenceProfile(times=(0.1,), gamma_values=(-0.5,))
+
+
+def _exact_reciprocal(*factors):
+    """float(1 / (f1 f2 ...)) in exact arithmetic, inf past the largest float."""
+    try:
+        return float(1 / math.prod(Fraction(f) for f in factors))
+    except OverflowError:
+        return math.inf
+
+
+def _random_float(rng):
+    """A positive finite float, normal or subnormal, of random exponent."""
+    value = math.ldexp(1.0 + rng.getrandbits(52) / 2.0 ** 52, rng.randint(-1080, 1023))
+    return value if value > 0.0 else 5e-324
+
+
+class TestReciprocal:
+    """dephasing._reciprocal rounds 1/(f1 f2 ...) once, from the exact product."""
+
+    def test_random_factor_tuples(self):
+        rng = random.Random(33)
+        products = []
+        for _ in range(3000):
+            factors = [_random_float(rng) for _ in range(rng.randint(1, 4))]
+            products.append(math.prod(factors))
+            assert dephasing._reciprocal(*factors) == _exact_reciprocal(*factors), factors
+        assert any(0.0 < p < sys.float_info.min for p in products)  # subnormal products
+        assert any(p == math.inf for p in products)  # overflowing products
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (5e-324,), (5e-324, 5e-324), (1e-300, 1e-300), (1e-160, 3e-170),
+            (1e300, 1e300), (1.7976931348623157e308, 2.0), (3.0,), (0.1, 0.2, 0.3),
+        ],
+    )
+    def test_subnormal_and_overflowing_products(self, factors):
+        assert dephasing._reciprocal(*factors) == _exact_reciprocal(*factors)
+
+    def test_markovian_shape_variance_tau(self):
+        # decoherence_time's markovian branch at a subnormal rate, as (v, tau).
+        rng = random.Random(7)
+        for _ in range(500):
+            variance = math.ldexp(1.0 + rng.random(), rng.randint(-1070, -20))
+            tau_c = math.ldexp(1.0 + rng.random(), rng.randint(-1070, -20))
+            if variance * tau_c >= sys.float_info.min:
+                continue
+            corr = ExponentialCorrelation(variance, tau_c)
+            expected = _exact_reciprocal(variance, tau_c)
+            assert dephasing._reciprocal(variance, tau_c) == expected
+            assert decoherence_time(corr, "markovian") == expected
+
+    def test_bound_shape_target_target_variance(self):
+        # The concentration bounds' target^-2 / variance, as (t, t, v).
+        from sidephase.mechanisms import _inverse_square_over
+
+        rng = random.Random(8)
+        for _ in range(500):
+            exponent = rng.choice([rng.randint(515, 1023), -rng.randint(515, 1074)])
+            target = math.ldexp(1.0 + rng.random(), exponent)
+            variance = _random_float(rng)
+            expected = _exact_reciprocal(target, target, variance)
+            assert dephasing._reciprocal(target, target, variance) == expected
+            assert _inverse_square_over(target, variance) == expected, (target, variance)

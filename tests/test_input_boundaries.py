@@ -770,3 +770,40 @@ def test_out_of_range_config_value_exits_2_naming_the_field(tmp_path, capsys):
     cfg.write_text("[hyperfine]\na0 = -1\n")
     line = _assert_usage_error(main(["channel", "hyperfine", "--config", str(cfg)]), capsys)
     assert line == "error: invalid hyperfine parameters: a0 must be positive"
+
+
+class TestStepUnderflow:
+    """A step limit or a step that underflows to 0 s ends in a message."""
+
+    @pytest.mark.parametrize("tau_c", [5e-324, 4.94e-323])
+    def test_an_underflowing_limit_is_rejected_with_no_count(self, tau_c):
+        assert tau_c / 20.0 == 0.0
+        with pytest.raises(montecarlo.PlanRejectedError) as err:
+            SimulationPlan(ExponentialCorrelation(1.0, tau_c), 1e-320, 100, 4, 0)
+        assert err.value.required_n_steps == math.inf
+        assert "tau_c/20 underflows to 0 s" in str(err.value)
+
+    def test_an_underflowing_step_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            SimulationPlan(ExponentialCorrelation(1.0, 1.0), 1e-320, 2 ** 53, 1, 0)
+        assert not isinstance(err.value, montecarlo.PlanRejectedError)
+        assert "t_max" in str(err.value) and "n_steps" in str(err.value)
+
+    def test_underflowing_limit_exits_3_leaving_no_file(self, tmp_path, capsys):
+        argv = _montecarlo_argv(
+            tmp_path, tau_c="5e-324", t_max="1e-320", n_steps="100",
+            n_trajectories="4", grid_points="2",
+        )
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("plan rejected: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_underflowing_step_exits_2_leaving_no_file(self, tmp_path, capsys):
+        argv = _montecarlo_argv(
+            tmp_path, tau_c="1", t_max="1e-320", n_steps=str(2 ** 53), grid_points="3"
+        )
+        line = _assert_usage_error(main(argv), capsys)
+        assert "t_max" in line and "n_steps" in line
+        assert list(tmp_path.iterdir()) == []

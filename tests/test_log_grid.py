@@ -64,3 +64,18 @@ def test_log_sweep_writes_the_reference_points(tmp_path, fmt):
     else:
         points = [row["temperature"] for row in json.loads(text)]
     assert points == _reference(0.05, 10.0, 48)
+
+
+def test_a_log_grid_may_end_at_the_largest_float():
+    top = 1.7976931348623157e308
+    spec = SweepSpec("hyperfine", "tau1", 1.0, top, 3, "log")
+    assert grid_values(spec).tolist() == [1.0, 10.0 ** (math.log10(top) / 2.0), top]
+
+
+def test_a_log_sweep_to_the_largest_float_writes_the_bounds(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--channel", "hyperfine", "--param", "tau1"]
+    argv += ["--grid", "1:1.7976931348623157e308:2:log", "--out", str(out)]
+    assert main(argv) == 0
+    first = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+    assert [float(cell) for cell in first] == [1.0, 1.7976931348623157e308]
