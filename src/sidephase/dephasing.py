@@ -194,8 +194,10 @@ def _libm(func, values: np.ndarray) -> np.ndarray:
 
 
 def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarray:
-    """gamma_exact for each element of t, under masks for a normal scale.
+    """gamma_exact for each element of t, vectorized for a normal scale.
 
+    The kernel's series takes the whole array when every t/tau_c is below
+    _KERNEL_SWITCH; otherwise masks split it from the closed form.
     Static noise and a zero, subnormal or overflowing scale take the float path.
     """
     import numpy as np
@@ -209,14 +211,23 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
         return _libm(lambda v: gamma_exact(correlation, v), t).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         x = t / correlation.tau_c
-        kernel = np.empty_like(x)
-        small = x < _KERNEL_SWITCH
-        closed = ~small
-        kernel[small] = _series(x[small])
-        xc = x[closed]
-        kernel[closed] = xc + _libm(math.expm1, -xc)
-        lost = (kernel < sys.float_info.min) & (scale > 2.0)  # as in the float path
-        return np.where(lost, 0.5 * scale * x * x, scale * kernel).reshape(shape)
+        if not x.size or x.max() < _KERNEL_SWITCH:
+            kernel = _series(x)
+        else:
+            kernel = np.empty_like(x)
+            small = x < _KERNEL_SWITCH
+            closed = ~small
+            kernel[small] = _series(x[small])
+            xc = x[closed]
+            kernel[closed] = xc + _libm(math.expm1, -xc)
+        if scale > 2.0:
+            # As in the float path; only the lost cells are formed from x.
+            lost = np.flatnonzero(kernel < sys.float_info.min)
+            kernel *= scale
+            kernel[lost] = 0.5 * scale * x[lost] * x[lost]
+        else:
+            kernel *= scale
+        return kernel.reshape(shape)
 
 
 def gamma_static(correlation: ExponentialCorrelation, t: float) -> float:
@@ -327,7 +338,9 @@ def decoherence_time(
 
     static      : variance^(-1/2)
     markovian   : (variance * tau_c)^(-1), rounded once also where the
-                  rate is subnormal; rejected for static noise
+                  rate is subnormal, or above 1/sys.float_info.min
+                  (about 4.49e307, where the time is subnormal) up to
+                  inf; rejected for static noise
     unit-gamma  : the t solving Gamma(t) = 1, bisected to 1e-9 relative
 
     Zero variance returns math.inf under every convention, and so does a
@@ -355,9 +368,10 @@ def decoherence_time(
     if convention == "markovian":
         if correlation.is_static:
             raise ValueError("markovian convention is undefined for static noise")
-        if rate >= sys.float_info.min:
+        if sys.float_info.min <= rate <= 1.0 / sys.float_info.min:
             return 1.0 / rate
-        # The rate has lost digits below the normal range; its factors' have not.
+        # The rate has lost digits below the normal range, or its reciprocal
+        # would lose them there; the factors' exact ratios have not.
         return _reciprocal(correlation.variance, correlation.tau_c)
     if rate == 0.0:
         # Gamma(t) < variance tau_c t, below 5e-324 t, is under 1 at every finite t.

@@ -28,13 +28,14 @@ index_normals(master_seed, ...), which defines the register's stream too:
 one Philox key per run, and index i's counter starts at (0, i, 0, 0).
 Trajectories are sampled in one thread, in fixed blocks of _BLOCK = 1024
 indices that bound the draw buffer, and each block writes its phases
-straight into its rows of the phase-squared array.  Only after the last
-block are the phases' cosines and sines formed and the phases squared in
-place, so the draw buffer never lives beside the three result arrays.  The
-reduction adds the rows in index order: column sums of the whole arrays,
-and a deviation pass for the standard errors that streams through one
-buffer of _REDUCE_ROWS rows.  The peak memory is the three result arrays
-and that buffer.
+straight into its rows of one (n, G) array.  Only after the last block is
+the ensemble reduced, one part at a time through one more (n, G) array:
+the phases' sines, then their cosines, then the phases squared in place.
+So the draw buffer never lives beside the parts, and no two parts live at
+once.  Each part's reduction adds the rows in index order: column sums of
+the whole array, and a deviation pass for the standard errors that
+streams through one buffer of _REDUCE_ROWS rows.  The peak memory is the
+phases, the part and that buffer: 2 n G 8 bytes plus _REDUCE_ROWS rows.
 The cosines and sines are the platform libm's, so they are the bits of
 exp(1j phase) wherever the complex exp takes its parts from the same cos
 and sin, as glibc's does (tests/test_sampler_blocks.py checks it).  The
@@ -379,31 +380,40 @@ def ensemble_coherence(plan: SimulationPlan, n_grid: int = 50) -> EnsembleCohere
     """Sample the ensemble exactly on n_grid output times and reduce it.
 
     The blocks of 1024 trajectories write their phases into their rows of
-    phase_sq, in one thread.  After the last block, the real and imaginary
-    parts of the phasors are the cosines and sines of the phases, and the
-    phases are squared in place.  The column sums add the rows in index
-    order, and the standard errors make one deviation pass through a buffer
-    of _REDUCE_ROWS rows, so the peak memory is the three result arrays and
-    that buffer.
+    phases, in one thread.  After the last block the three parts are
+    reduced one at a time through one buffer of the ensemble's size: the
+    sines of the phases give the imaginary parts' sums and errors, their
+    cosines, formed in the same buffer, the real parts', and the phases,
+    squared in place, the phase variance's.  The column sums add the rows
+    in index order, and each standard error makes one deviation pass
+    through a buffer of _REDUCE_ROWS rows, so the peak memory is the
+    phases, the part buffer and that buffer.
     """
     grid_idx = _output_indices(plan.n_steps, n_grid)
     dt = plan.dt
     steps = np.diff(grid_idx, prepend=0).tolist()
     transitions = [_transition(plan.correlation, s * dt) for s in steps]
     n = plan.n_trajectories
-    phase_sq = np.empty((n, n_grid))
+    phases = np.empty((n, n_grid))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        _sample_phases(plan, transitions, lo, hi, out=phase_sq[lo:hi])
-    re = np.cos(phase_sq)
-    im = np.sin(phase_sq)
-    np.multiply(phase_sq, phase_sq, out=phase_sq)
-    re_sum, im_sum, sq_sum = re.sum(axis=0), im.sum(axis=0), phase_sq.sum(axis=0)
-    if n_grid == 1:
-        # numpy sums one column pairwise, and pairs a complex column's
-        # parts unlike a real one's: sum the phasors as complex numbers.
-        phasors = np.empty((n, 1), dtype=complex)
-        phasors.real, phasors.imag = re, im
+        _sample_phases(plan, transitions, lo, hi, out=phases[lo:hi])
+    # numpy sums one column pairwise, and pairs a complex column's parts
+    # unlike a real one's: a single column's phasors are summed as complex.
+    phasors = np.empty((n, 1), dtype=complex) if n_grid == 1 else None
+    part = np.sin(phases)
+    if phasors is not None:
+        phasors.imag = part
+    im_sum = part.sum(axis=0)
+    im_std_error = _blockwise_standard_error(part, im_sum)
+    np.cos(phases, out=part)
+    if phasors is not None:
+        phasors.real = part
+    re_sum = part.sum(axis=0)
+    std_error = _blockwise_standard_error(part, re_sum)
+    np.multiply(phases, phases, out=phases)
+    sq_sum = phases.sum(axis=0)
+    if phasors is not None:
         mean = phasors.sum(axis=0)
     else:
         mean = np.empty(n_grid, dtype=complex)
@@ -415,10 +425,10 @@ def ensemble_coherence(plan: SimulationPlan, n_grid: int = 50) -> EnsembleCohere
     return EnsembleCoherence(
         times=grid_idx * dt,
         mean_coherence=mean,
-        std_error=_blockwise_standard_error(re, re_sum),
-        im_std_error=_blockwise_standard_error(im, im_sum),
+        std_error=std_error,
+        im_std_error=im_std_error,
         mean_phase_sq=sq_sum / n,
-        std_error_phase_sq=_blockwise_standard_error(phase_sq, sq_sum),
+        std_error_phase_sq=_blockwise_standard_error(phases, sq_sum),
         n_trajectories=plan.n_trajectories,
     )
 

@@ -239,6 +239,33 @@ class TestDecoherenceTime:
                 ulps = float(abs(Fraction(time) - exact) / Fraction(math.ulp(time)))
                 assert ulps <= 0.5, (corr, ulps)
 
+    def test_markovian_time_is_rounded_once_where_the_rate_is_near_the_top(self):
+        # Above 1/sys.float_info.min (about 4.49e307) the time is subnormal,
+        # and 1.0 / (variance * tau_c) would round the rate and then the
+        # subnormal quotient (or give 1/inf = 0); the time is within half an
+        # ulp of the exact rational there, up to a rate that overflows.
+        rng = random.Random(34)
+        overflowing = 0
+        for _ in range(2000):
+            e_rate = rng.uniform(1022.0001, 1030.0)
+            e_variance = rng.uniform(e_rate - 1023.0, 1023.0)
+            corr = ExponentialCorrelation(2.0 ** e_variance, 2.0 ** (e_rate - e_variance))
+            rate = corr.variance * corr.tau_c
+            assert 1.0 / sys.float_info.min < rate <= math.inf
+            overflowing += rate == math.inf
+            exact = 1 / (Fraction(corr.variance) * Fraction(corr.tau_c))
+            time = decoherence_time(corr, "markovian")
+            assert 0.0 < time < sys.float_info.min, corr
+            ulps = float(abs(Fraction(time) - exact) / Fraction(math.ulp(time)))
+            assert ulps <= 0.5, (corr, ulps)
+        assert overflowing > 0
+
+    def test_markovian_time_at_the_largest_correlation_time(self):
+        # The second row of `sweep --channel hyperfine --param tau1 --grid
+        # 1:1.7976931348623157e308:2:log`, where variance * tau_c overflows.
+        corr = ExponentialCorrelation(1227826.0566548649, sys.float_info.max)
+        assert decoherence_time(corr, "markovian") == 4.5305152290361341e-315
+
     def test_markovian_rejects_static_noise(self):
         with pytest.raises(ValueError):
             decoherence_time(ExponentialCorrelation(1.0, math.inf), "markovian")

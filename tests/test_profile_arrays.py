@@ -130,6 +130,42 @@ def test_array_gamma_matches_float_path_bit_for_bit(corr):
     assert np.array_equal(_bits(coherence_envelope(corr, times)), _bits(envelope))
 
 
+# t/tau_c grids for the array path's kernel: all below the series switch
+# 0.05, all at or above it, both, and, under a scale above 2, x where the
+# kernel falls below the normal range (the lost cells, x < ~2e-154).
+FAST_PATH_GRIDS = {
+    "all-series": (ExponentialCorrelation(3000.0, 1e-3), lambda rng, n: rng.uniform(0.0, 0.05, n)),
+    "all-closed": (ExponentialCorrelation(3000.0, 1e-3), lambda rng, n: rng.uniform(0.05, 60.0, n)),
+    "mixed": (ExponentialCorrelation(1.23e6, 1e4), lambda rng, n: rng.uniform(0.0, 0.1, n)),
+    "lost": (
+        ExponentialCorrelation(1.23e6, 1e4),
+        lambda rng, n: 10.0 ** rng.uniform(-170.0, math.log10(1.5e-154), n),
+    ),
+}
+
+
+@pytest.mark.parametrize("size", [1, 4096, 100_000])
+@pytest.mark.parametrize("grid", sorted(FAST_PATH_GRIDS))
+def test_array_gamma_fast_paths_match_the_float_path(grid, size):
+    corr, draw = FAST_PATH_GRIDS[grid]
+    scale = corr.variance * corr.tau_c * corr.tau_c
+    assert sys.float_info.min <= scale < math.inf
+    x = draw(np.random.default_rng(size), size)
+    x[0] = {"all-series": 0.0, "all-closed": 0.05, "mixed": 0.05, "lost": 5e-324}[grid]
+    times = x * corr.tau_c
+    x = times / corr.tau_c
+    if grid == "all-series":
+        assert (x < dephasing._KERNEL_SWITCH).all()
+    elif grid == "all-closed":
+        assert (x >= dephasing._KERNEL_SWITCH).all()
+    elif grid == "mixed" and size > 1:
+        assert (x < dephasing._KERNEL_SWITCH).any() and (x >= dephasing._KERNEL_SWITCH).any()
+    elif grid == "lost":
+        assert scale > 2.0 and (dephasing._series(x) < sys.float_info.min).all()
+    scalar = [gamma_exact(corr, t) for t in times.tolist()]
+    assert np.array_equal(_bits(gamma_exact(corr, times)), _bits(scalar))
+
+
 def test_array_gamma_keeps_shape_and_rejects_negative_times():
     corr = ExponentialCorrelation(2.0, 0.5)
     times = np.array([[0.0, 0.01], [0.1, 3.0]])

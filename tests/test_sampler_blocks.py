@@ -173,15 +173,29 @@ def test_cos_and_sin_are_the_bits_of_the_complex_exp(name):
     assert np.sin(phases).tobytes() == phasors.imag.tobytes(), message
 
 
-@pytest.mark.parametrize("n_grid", [1, 2, 50])
-def test_reduction_gives_the_bits_of_the_full_size_reduction(n_grid):
+# (n, n_grid, tau_c, seed): 1,025 quasi-static trajectories under the bare
+# grid size, and small, odd and multi-buffer ensembles of static and
+# quasi-static noise under "<noise>-<n>-<n_grid>".
+REDUCTION_CASES = [
+    pytest.param(1025, n_grid, 2e6, 13, id=str(n_grid)) for n_grid in (1, 2, 50)
+] + [
+    pytest.param(n, n_grid, tau_c, 17, id=f"{noise}-{n}-{n_grid}")
+    for noise, tau_c in (("static", math.inf), ("quasistatic", 2e6))
+    for n in (1, 2, 513, 2049)
+    for n_grid in (1, 2, 3, 50)
+]
+
+
+@pytest.mark.parametrize("n, n_grid, tau_c, seed", REDUCTION_CASES)
+def test_reduction_gives_the_bits_of_the_full_size_reduction(n, n_grid, tau_c, seed):
     # The reduction as it was before the blockwise pass: complex phasors
     # and numpy's mean and standard_error over the whole arrays.
-    plan = SimulationPlan(ExponentialCorrelation(1.0, 2e6), 2.0, 200, 1025, 13)
+    plan = SimulationPlan(ExponentialCorrelation(1.0, tau_c), 2.0, 200, n, seed)
     phases = _phases(plan, n_grid)
     phasors = np.exp(1j * phases)
     phase_sq = phases * phases
     expected = {
+        "times": montecarlo._output_indices(plan.n_steps, n_grid) * plan.dt,
         "mean_coherence": phasors.mean(axis=0),
         "std_error": montecarlo.standard_error(phasors.real),
         "im_std_error": montecarlo.standard_error(phasors.imag),
@@ -189,7 +203,7 @@ def test_reduction_gives_the_bits_of_the_full_size_reduction(n_grid):
         "std_error_phase_sq": montecarlo.standard_error(phase_sq),
     }
     result = ensemble_coherence(plan, n_grid)
-    for name in FIELDS:
+    for name in ("times", *FIELDS):
         assert getattr(result, name).tobytes() == expected[name].tobytes(), name
 
 
@@ -213,6 +227,24 @@ def test_reduction_adds_one_buffer_to_the_result_arrays():
     # np.getbufsize() doubles.
     ufunc_buffer = min(montecarlo._REDUCE_ROWS * n_grid, np.getbufsize()) * 8
     assert peak <= results + buffer + ufunc_buffer + 64 * 1024
+
+
+def test_reduction_holds_the_phases_and_one_part():
+    # The parts are reduced one at a time through one buffer of the
+    # ensemble's size, so the peak is two such arrays, not three.
+    n, n_grid = 10_000, 50
+    plan = SimulationPlan(ExponentialCorrelation(1.0, 2e6), 2.0, 200, n, 5)
+    ensemble_coherence(plan, n_grid)  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        ensemble_coherence(plan, n_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = 2 * n * n_grid * 8
+    buffer = montecarlo._REDUCE_ROWS * n_grid * 8
+    ufunc_buffer = min(montecarlo._REDUCE_ROWS * n_grid, np.getbufsize()) * 8
+    assert peak <= arrays + buffer + ufunc_buffer + 64 * 1024
 
 
 ROWS = montecarlo._REDUCE_ROWS
