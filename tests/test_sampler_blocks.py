@@ -49,6 +49,18 @@ MONTECARLO_DIGESTS = {
         "b9d0f0ce7e060f9d5b795fffc28ee060248518d69b0ba51424b742b55630c365",
         "943c85cf15c0d628ed3320f78244205881a6ffb420b309014d3c83cea39bfb8b",
     ),
+    "single-column": (
+        "--variance 1.0 --tau-c 2e6 --t-max 2.0 --n-steps 200"
+        " --n-trajectories 2049 --grid-points 1 --seed 11",
+        "ea5b53910d7053242e0820863ed919d9c661bd4aec8f3f51cc5a6ab33ea9a740",
+        "7a3679d93eadab6830222f272997d951be813e86c13768e6ba08a5eb353d4fef",
+    ),
+    "two-columns": (
+        "--variance 3000.0 --tau-c 1e-3 --t-max 1.0 --n-steps 20000"
+        " --n-trajectories 2049 --grid-points 2 --seed 12",
+        "995a4fd2ef0880e6c7c66d666645004ad4f8e193f8ca863f57fcecb160e022be",
+        "d0e81b5a047ae339c0c0745d1da2101d051ca7e305cdd68a0799c658454af06d",
+    ),
 }
 REGISTER_DIGEST = "c6b59f215c08e1602c31f47a60311fca0c8cd837e3a8ba8d544ca3820884cd7c"
 # perturbed_ground_state's entries, then ground_fidelity, at 2,000 seeded e.
