@@ -32,10 +32,13 @@ straight into its rows of one (n, G) array.  Only after the last block is
 the ensemble reduced, one part at a time through one more (n, G) array:
 the phases' sines, then their cosines, then the phases squared in place.
 So the draw buffer never lives beside the parts, and no two parts live at
-once.  Each part's reduction adds the rows in index order: column sums of
-the whole array, and a deviation pass for the standard errors that
-streams through one buffer of _REDUCE_ROWS rows.  The peak memory is the
-phases, the part and that buffer: 2 n G 8 bytes plus _REDUCE_ROWS rows.
+once.  Each part is reduced in its own memory (_column_statistics): its
+column sums, then its deviations from the column means, written over it,
+squared in place and summed.  These are the calls numpy's std makes on an
+array of that shape, so the bits are those of sum and standard_error at
+any G.  The peak memory is the phases and the part, 2 n G 8 bytes; a
+single column adds its n complex phasors, 16 n bytes, summed as complex
+because numpy pairs a complex column's parts unlike a real column's.
 The cosines and sines are the platform libm's, so they are the bits of
 exp(1j phase) wherever the complex exp takes its parts from the same cos
 and sin, as glibc's does (tests/test_sampler_blocks.py checks it).  The
@@ -78,8 +81,6 @@ _MAX_SEED = 2 ** 64
 _MAX_STEPS = 2 ** 53
 # Trajectories per draw buffer.
 _BLOCK = 1024
-# Rows per block of the standard errors' deviation pass.
-_REDUCE_ROWS = 512
 # Below this x = h/tau_c, q(x) = 2 (x - 2 tanh(x/2)) loses digits to
 # cancellation (3e-12 relative at x = 0.03) and its Taylor series in
 # x^3, x^5, ..., x^11 is summed instead; at the switch each branch is
@@ -203,31 +204,20 @@ def standard_error(samples: np.ndarray) -> np.ndarray:
     return samples.std(axis=0, ddof=1 if n > 1 else 0) / math.sqrt(n)
 
 
-def _blockwise_standard_error(samples: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """standard_error of a 2-D array, without a temporary of its size.
+def _column_statistics(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums and standard_error of a 2-D array, in the array's memory.
 
-    sums is samples.sum(axis=0), which the caller has formed already.  The
-    deviations from the column means pass through one buffer of
-    _REDUCE_ROWS rows.  Each block's squares are added row by row, with the
-    running total added into the block's first row, so every column is
-    summed in index order: the order numpy sums axis 0 of an array of two
-    or more columns in, and so the same bits.  A single column numpy sums
-    pairwise, and it goes to standard_error.
+    These are the calls numpy's std makes, in its order and on an array of
+    the same shape, so the standard errors have standard_error's bits at
+    every width; only the deviations are written over samples, which is
+    left holding their squares.
     """
-    n, width = samples.shape
-    if width == 1:
-        return standard_error(samples)
-    mean = sums / n
-    total = np.zeros(width)
-    buffer = np.empty((min(n, _REDUCE_ROWS), width))
-    for lo in range(0, n, _REDUCE_ROWS):
-        block = samples[lo : lo + _REDUCE_ROWS]
-        deviation = np.subtract(block, mean, out=buffer[: len(block)])
-        np.multiply(deviation, deviation, out=deviation)
-        deviation[0] += total
-        np.add.reduce(deviation, axis=0, out=total)
-    total /= n - 1 if n > 1 else n
-    return np.sqrt(total, out=total) / math.sqrt(n)
+    n = len(samples)
+    sums = samples.sum(axis=0)
+    deviations = np.subtract(samples, sums / n, out=samples)
+    np.multiply(deviations, deviations, out=deviations)
+    variance = deviations.sum(axis=0) / (n - 1 if n > 1 else n)
+    return sums, np.sqrt(variance, out=variance) / math.sqrt(n)
 
 
 def generate_trajectory(plan: SimulationPlan, index: int) -> np.ndarray:
@@ -384,10 +374,9 @@ def ensemble_coherence(plan: SimulationPlan, n_grid: int = 50) -> EnsembleCohere
     reduced one at a time through one buffer of the ensemble's size: the
     sines of the phases give the imaginary parts' sums and errors, their
     cosines, formed in the same buffer, the real parts', and the phases,
-    squared in place, the phase variance's.  The column sums add the rows
-    in index order, and each standard error makes one deviation pass
-    through a buffer of _REDUCE_ROWS rows, so the peak memory is the
-    phases, the part buffer and that buffer.
+    squared in place, the phase variance's.  Each part's deviations are
+    written over the part itself, so the peak memory is the phases and the
+    part buffer, and for a single column its complex phasors.
     """
     grid_idx = _output_indices(plan.n_steps, n_grid)
     dt = plan.dt
@@ -404,15 +393,12 @@ def ensemble_coherence(plan: SimulationPlan, n_grid: int = 50) -> EnsembleCohere
     part = np.sin(phases)
     if phasors is not None:
         phasors.imag = part
-    im_sum = part.sum(axis=0)
-    im_std_error = _blockwise_standard_error(part, im_sum)
+    im_sum, im_std_error = _column_statistics(part)
     np.cos(phases, out=part)
     if phasors is not None:
         phasors.real = part
-    re_sum = part.sum(axis=0)
-    std_error = _blockwise_standard_error(part, re_sum)
-    np.multiply(phases, phases, out=phases)
-    sq_sum = phases.sum(axis=0)
+    re_sum, std_error = _column_statistics(part)
+    sq_sum, std_error_phase_sq = _column_statistics(np.multiply(phases, phases, out=phases))
     if phasors is not None:
         mean = phasors.sum(axis=0)
     else:
@@ -428,7 +414,7 @@ def ensemble_coherence(plan: SimulationPlan, n_grid: int = 50) -> EnsembleCohere
         std_error=std_error,
         im_std_error=im_std_error,
         mean_phase_sq=sq_sum / n,
-        std_error_phase_sq=_blockwise_standard_error(phases, sq_sum),
+        std_error_phase_sq=std_error_phase_sq,
         n_trajectories=plan.n_trajectories,
     )
 

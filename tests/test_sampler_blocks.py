@@ -1,11 +1,14 @@
 """The exact sampler's bytes, pinned across versions, and its block size.
 
-The digests were recorded from the 256-trajectory sampler.  Each
-montecarlo invocation spans more than one block of 1024 trajectories, so
-a change to the blocking, to the reduction or to the (seed, i) stream
-that moves any byte shows here as a changed digest.  The reduction's own
-parts are checked against their references below: cos and sin against
-the complex exp, the blockwise standard error against standard_error.
+The first three digests were recorded from the 256-trajectory sampler;
+the single- and two-column ones from the 1024-trajectory sampler whose
+standard errors streamed through a 512-row buffer, so every width's path
+through the reduction has a pin.  Each montecarlo invocation spans more
+than one block of 1024 trajectories, so a change to the blocking, to the
+reduction or to the (seed, i) stream that moves any byte shows here as a
+changed digest.  The reduction's own parts are checked against their
+references below: cos and sin against the complex exp, and the in-place
+column statistics against numpy's sum and standard_error.
 """
 
 import hashlib
@@ -221,8 +224,9 @@ def test_reduction_gives_the_bits_of_the_full_size_reduction(n, n_grid, tau_c, s
 
 def test_reduction_adds_one_buffer_to_the_result_arrays():
     # The phases' cosines and sines are formed after sampling, beside the
-    # phases squared in place, and the standard errors stream through one
-    # buffer: no temporary of the ensemble's size is left beside them.
+    # phases squared in place, and each part's standard errors are formed
+    # in that part's own memory: no temporary of the ensemble's size is
+    # left beside them.
     n, n_grid = 10_000, 50
     plan = SimulationPlan(ExponentialCorrelation(1.0, 2e6), 2.0, 200, n, 5)
     ensemble_coherence(plan)  # one-time allocations stay out of the peak
@@ -233,18 +237,18 @@ def test_reduction_adds_one_buffer_to_the_result_arrays():
     finally:
         tracemalloc.stop()
     results = 3 * n * n_grid * 8
-    buffer = montecarlo._REDUCE_ROWS * n_grid * 8
-    # A broadcast subtraction, blockwise as the full-size samples - mean
-    # was, makes numpy allocate its own ufunc buffer of at most
-    # np.getbufsize() doubles.
-    ufunc_buffer = min(montecarlo._REDUCE_ROWS * n_grid, np.getbufsize()) * 8
-    assert peak <= results + buffer + ufunc_buffer + 64 * 1024
+    # The broadcast subtraction of the column means makes numpy allocate
+    # its own ufunc buffer of at most np.getbufsize() doubles.
+    ufunc_buffer = np.getbufsize() * 8
+    assert peak <= results + ufunc_buffer + 64 * 1024
 
 
-def test_reduction_holds_the_phases_and_one_part():
+@pytest.mark.parametrize("n_grid", [1, 50])
+def test_reduction_holds_the_phases_and_one_part(n_grid):
     # The parts are reduced one at a time through one buffer of the
-    # ensemble's size, so the peak is two such arrays, not three.
-    n, n_grid = 10_000, 50
+    # ensemble's size, each in its own memory, so the peak is two such
+    # arrays, not three; a single column adds its complex phasors.
+    n = 10_000
     plan = SimulationPlan(ExponentialCorrelation(1.0, 2e6), 2.0, 200, n, 5)
     ensemble_coherence(plan, n_grid)  # one-time allocations stay out of the peak
     tracemalloc.start()
@@ -254,12 +258,12 @@ def test_reduction_holds_the_phases_and_one_part():
     finally:
         tracemalloc.stop()
     arrays = 2 * n * n_grid * 8
-    buffer = montecarlo._REDUCE_ROWS * n_grid * 8
-    ufunc_buffer = min(montecarlo._REDUCE_ROWS * n_grid, np.getbufsize()) * 8
-    assert peak <= arrays + buffer + ufunc_buffer + 64 * 1024
+    phasors = n * 16 if n_grid == 1 else 0
+    ufunc_buffer = np.getbufsize() * 8
+    assert peak <= arrays + phasors + ufunc_buffer + 64 * 1024
 
 
-ROWS = montecarlo._REDUCE_ROWS
+ROWS = 512
 COLUMNS = {
     "normal": lambda rng, n: rng.standard_normal(n),
     "constant": lambda rng, n: np.full(n, 0.1),
@@ -276,6 +280,6 @@ class TestBlockwiseStandardError:
     def test_bits_of_standard_error(self, n, layout):
         rng = np.random.default_rng(n)
         samples = np.stack([COLUMNS[kind](rng, n) for kind in LAYOUTS[layout]], axis=1)
-        expected = montecarlo.standard_error(samples)
-        result = montecarlo._blockwise_standard_error(samples, samples.sum(axis=0))
-        assert result.tobytes() == expected.tobytes()
+        sums, errors = montecarlo._column_statistics(samples.copy())
+        assert sums.tobytes() == samples.sum(axis=0).tobytes()
+        assert errors.tobytes() == montecarlo.standard_error(samples).tobytes()
