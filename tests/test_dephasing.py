@@ -13,6 +13,7 @@ from sidephase import dephasing
 from sidephase.dephasing import (
     DecoherenceProfile,
     ExponentialCorrelation,
+    bisect_from,
     bisect_increasing,
     build_profile,
     coherence_envelope,
@@ -320,6 +321,48 @@ class TestBisection:
 
         with pytest.raises(ValueError, match="not bracketed"):
             bisect_increasing(func, 0.0, 10.0, rtol=1e-9)
+
+    def test_doubling_to_inf_returns_inf(self):
+        # x - max is negative at every power of two up to 2^1023; the next
+        # doubling is inf.
+        assert bisect_from(lambda x: x - sys.float_info.max, 1.0, rtol=1e-9) == math.inf
+        # It returns before the bracket check, which a NaN at inf would fail.
+        assert bisect_from(lambda x: -1.0 if x < math.inf else math.nan, 1.0, rtol=1e-9) == math.inf
+
+    def test_nan_at_the_doubled_end_is_not_a_bracket(self):
+        # A NaN stops the doubling at 8, and the bracket check refuses it.
+        def func(x):
+            return math.nan if x >= 8.0 else x - 100.0
+
+        with pytest.raises(ValueError, match="not bracketed"):
+            bisect_from(func, 1.0, rtol=1e-9)
+
+    def test_stops_after_200_halvings(self):
+        # rtol = 0 never stops the run.  With the root at 1e-300 every step
+        # is long, so the cap leaves hi = 1e300 / 2^200 and returns half of it.
+        root = bisect_increasing(lambda x: x - 1e-300, 0.0, 1e300, rtol=0.0)
+        assert root == 3.111507638930571e239 == 1e300 * 2.0**-201
+        assert bisect_increasing(lambda x: x * x - 2.0, 0.0, 2.0, rtol=0.0) == 1.414213562373095
+
+    def test_every_step_calls_func(self):
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return x - 3.0
+
+        assert bisect_increasing(func, 0.0, 10.0, rtol=1e-3) == 2.999267578125
+        assert calls == [
+            0.0, 10.0, 5.0, 2.5, 3.75, 3.125, 2.8125, 2.96875, 3.046875,
+            3.0078125, 2.98828125, 2.998046875, 3.0029296875, 3.00048828125,
+        ]
+        calls.clear()
+        # The doubling's end is evaluated again by the bracket check.
+        assert bisect_from(func, 1.0, rtol=1e-3) == 2.9990234375
+        assert calls == [
+            1.0, 2.0, 4.0, 0.0, 4.0, 2.0, 3.0, 2.5, 2.75, 2.875, 2.9375,
+            2.96875, 2.984375, 2.9921875, 2.99609375, 2.998046875,
+        ]
 
 
 class TestProfile:
