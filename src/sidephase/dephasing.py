@@ -145,6 +145,8 @@ def _series(x):
     and every smaller one after it, is under half an ulp of the total and
     leaves the rounded sum unchanged; and at x < 0.05 term 11 is already
     below 1e-19 of the total, so every x reaches that stop by n = 11.
+    Array callers may evaluate it past 0.05, where it may overflow or give
+    NaN, and then discard those values.
 
     The first term is x * x / 2.0, rounded as in the quartic
     x^2/2 - x^3/6 + x^4/24, so below x = 1e-6 the sum gives the quartic's
@@ -196,8 +198,8 @@ def _libm(func, values: np.ndarray) -> np.ndarray:
 def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarray:
     """gamma_exact for each element of t, vectorized for a normal scale.
 
-    The kernel's series takes the whole array when every t/tau_c is below
-    _KERNEL_SWITCH; otherwise masks split it from the closed form.
+    The kernel takes one pass: the series on every cell, then the closed
+    form written over the cells at or past _KERNEL_SWITCH.
     Static noise and a zero, subnormal or overflowing scale take the float path.
     """
     import numpy as np
@@ -211,22 +213,14 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
         return _libm(lambda v: gamma_exact(correlation, v), t).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         x = t / correlation.tau_c
-        if not x.size or x.max() < _KERNEL_SWITCH:
-            kernel = _series(x)
-        else:
-            kernel = np.empty_like(x)
-            small = x < _KERNEL_SWITCH
-            closed = ~small
-            kernel[small] = _series(x[small])
-            xc = x[closed]
-            kernel[closed] = xc + _libm(math.expm1, -xc)
-        if scale > 2.0:
-            # As in the float path; only the lost cells are formed from x.
-            lost = np.flatnonzero(kernel < sys.float_info.min)
-            kernel *= scale
-            kernel[lost] = 0.5 * scale * x[lost] * x[lost]
-        else:
-            kernel *= scale
+        kernel = _series(x)
+        closed = np.flatnonzero(x >= _KERNEL_SWITCH)
+        xc = x[closed]
+        kernel[closed] = xc + _libm(math.expm1, -xc)
+        # As in the float path; only the lost cells are formed from x.
+        lost = np.flatnonzero(kernel < sys.float_info.min) if scale > 2.0 else []
+        kernel *= scale
+        kernel[lost] = 0.5 * scale * x[lost] * x[lost]
         return kernel.reshape(shape)
 
 

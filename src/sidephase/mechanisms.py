@@ -367,8 +367,11 @@ def _inverse_square_over(target: float, variance: float) -> float:
     range target^-2 would overflow or lose digits as a subnormal, so the
     quotient is formed exactly from the two floats' integer ratios and
     rounded once: inf where it exceeds the largest float, 0 for an
-    infinite target.  A zero variance gives inf.
+    infinite target.  A zero variance gives inf.  A target that is not
+    positive, NaN too, is refused.
     """
+    if not target > 0.0:
+        raise ValueError("target_dephasing_time must be positive")
     if variance == 0.0:
         return math.inf
     try:
@@ -392,8 +395,6 @@ def max_paramagnetic_concentration(
     variance at unit concentration underflows to 0 (about 532.1) or its
     thermal factor does (about 556.4).
     """
-    if not target_dephasing_time > 0.0:
-        raise ValueError("target_dephasing_time must be positive")
     if not 0.0 <= field_temperature_ratio < math.inf:
         raise ValueError("field_temperature_ratio must be finite and nonnegative")
     unit = ParamagneticImpurityChannel(1.0, field_temperature_ratio, 1.0)
@@ -420,8 +421,6 @@ def max_nuclear_impurity_concentration(
     target below about 2.3 uK, where the variance at unit concentration
     underflows to 0.  The percentage is finite wherever per_m3 is.
     """
-    if not target_dephasing_time > 0.0:
-        raise ValueError("target_dephasing_time must be positive")
     unit = NuclearImpurityChannel(1.0, field, spin_temperature)
     per_m3 = _inverse_square_over(target_dephasing_time, nuclear_impurity_variance(unit))
     site_density = 1.0 / CUTOFF_VOLUME

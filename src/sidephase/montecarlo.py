@@ -138,9 +138,8 @@ class SimulationPlan:
             raise ValueError("master_seed must fit in 64 bits")
         if self.dt == 0.0:
             raise ValueError("dt = t_max/n_steps underflows to 0 s; raise t_max or lower n_steps")
-        dt_max = math.inf
-        if not self.correlation.is_static:
-            dt_max = self.correlation.tau_c / 20.0
+        # inf for static noise, whose tau_c is inf.
+        dt_max = self.correlation.tau_c / 20.0
         if self.correlation.variance > 0.0:
             dt_max = min(dt_max, 0.05 / math.sqrt(self.correlation.variance))
         if self.dt > dt_max:

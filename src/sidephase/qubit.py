@@ -72,9 +72,8 @@ class DensityMatrix:
         return ((self.rho00, self.rho01), (self.rho10, self.rho11))
 
 
-def _with_coherence(state: BlochState, rho01: complex) -> DensityMatrix:
-    """The state's populations (1 +- pz)/2 with off-diagonal rho01."""
-    rho00, rho11 = limiting_populations(state)
+def _density(rho00: float, rho11: float, rho01: complex) -> DensityMatrix:
+    """The density matrix with populations rho00, rho11 and off-diagonal rho01."""
     return DensityMatrix(complex(rho00), rho01, rho01.conjugate(), complex(rho11))
 
 
@@ -86,7 +85,7 @@ def density_from_bloch(state: BlochState, phase: float = 0.0) -> DensityMatrix:
     if not abs(phase) < math.inf:  # NaN too
         raise ValueError("phase must be finite")
     p_minus = complex(state.px, -state.py)
-    return _with_coherence(state, 0.5 * p_minus * cmath.exp(1j * phase))
+    return _density(*limiting_populations(state), 0.5 * p_minus * cmath.exp(1j * phase))
 
 
 def apply_dephasing(state: BlochState, gamma: float) -> DensityMatrix:
@@ -94,7 +93,7 @@ def apply_dephasing(state: BlochState, gamma: float) -> DensityMatrix:
     if not gamma >= 0.0:
         raise ValueError("gamma must be nonnegative")
     damp = math.exp(-gamma)
-    return _with_coherence(state, 0.5 * complex(state.px, -state.py) * damp)
+    return _density(*limiting_populations(state), 0.5 * complex(state.px, -state.py) * damp)
 
 
 def dephased_eigenvalues(state: BlochState, gamma: float) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .montecarlo import _MAX_SEED, index_normals, standard_error
-from .qubit import DensityMatrix, fidelity
+from .qubit import DensityMatrix, _density, fidelity
 
 __all__ = [
     "ErrorSampler",
@@ -71,8 +71,7 @@ def _ground_entries(e: tuple[float, float, float]) -> tuple:
 def perturbed_ground_state(e: tuple[float, float, float]) -> DensityMatrix:
     """U |0><0| U-dagger as a validated density matrix."""
     rho00, rho11, re01, im01 = _ground_entries(e)
-    rho01 = complex(re01, im01)
-    return DensityMatrix(complex(rho00), rho01, rho01.conjugate(), complex(rho11))
+    return _density(rho00, rho11, complex(re01, im01))
 
 
 def error_probability(e: tuple[float, float, float]) -> float:
@@ -154,13 +153,12 @@ def ensemble_average_state(sampler: ErrorSampler, n: int) -> EnsembleErrorReport
         raise ValueError("n must be at least 1")
     e = tuple((np.asarray(sampler.sigma) * index_normals(sampler.seed, 0, n, 3)).T)
     rho00, rho11, re01, im01 = (entry.mean() for entry in _ground_entries(e))
-    rho01 = complex(re01, im01)
     probabilities = error_probability(e)
-    averaged = DensityMatrix(complex(rho00), rho01, rho01.conjugate(), complex(rho11))
+    averaged = _density(rho00, rho11, complex(re01, im01))
     return EnsembleErrorReport(
         state=averaged,
         n=n,
         mean_error_probability=float(probabilities.mean()),
         stderr_error_probability=float(standard_error(probabilities)),
-        offdiag_magnitude=abs(rho01),
+        offdiag_magnitude=abs(averaged.rho01),
     )

@@ -118,6 +118,21 @@ def test_profile_csv_bytes_are_unchanged(tmp_path, capsys, kind, t_max, digest):
     assert hashlib.sha256(profile.read_bytes()).hexdigest() == digest
 
 
+def test_profile_past_the_series_range_is_unchanged_and_quiet(tmp_path, capsys):
+    # tau1_imp = 1e-100 puts nearly every t/tau_c far past the series switch,
+    # where the array path's series overflows before the closed form is
+    # written over it; no numpy warning may reach stderr.
+    config = tmp_path / "channels.ini"
+    config.write_text(CONFIG.replace("tau1_imp = 1e4", "tau1_imp = 1e-100"))
+    profile = tmp_path / "p.csv"
+    argv = ["channel", "paramagnetic", "--config", str(config), "--out", str(tmp_path / "r.json")]
+    argv += ["--profile-out", str(profile), "--t-max", "4", "--t-points", "20001"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    digest = hashlib.sha256(profile.read_bytes()).hexdigest()
+    assert digest == "63909ced1e73b491a687e5539aa2d4dbb61d0cf0af1c6db5da9c11f0da58b60a"
+
+
 @pytest.mark.parametrize("corr", CORRELATIONS, ids=repr)
 def test_array_gamma_matches_float_path_bit_for_bit(corr):
     tau = corr.tau_c if math.isfinite(corr.tau_c) else 1.0
@@ -132,7 +147,8 @@ def test_array_gamma_matches_float_path_bit_for_bit(corr):
 
 # t/tau_c grids for the array path's kernel: all below the series switch
 # 0.05, all at or above it, both, and, under a scale above 2, x where the
-# kernel falls below the normal range (the lost cells, x < ~2e-154).
+# kernel falls below the normal range (the lost cells, x < ~2e-154), and x
+# so large that the series, written over by the closed form, overflows.
 FAST_PATH_GRIDS = {
     "all-series": (ExponentialCorrelation(3000.0, 1e-3), lambda rng, n: rng.uniform(0.0, 0.05, n)),
     "all-closed": (ExponentialCorrelation(3000.0, 1e-3), lambda rng, n: rng.uniform(0.05, 60.0, n)),
@@ -140,6 +156,10 @@ FAST_PATH_GRIDS = {
     "lost": (
         ExponentialCorrelation(1.23e6, 1e4),
         lambda rng, n: 10.0 ** rng.uniform(-170.0, math.log10(1.5e-154), n),
+    ),
+    "overflowing-x": (
+        ExponentialCorrelation(3000.0, 1e-3),
+        lambda rng, n: 10.0 ** rng.uniform(25.0, 305.0, n),
     ),
 }
 
@@ -151,7 +171,8 @@ def test_array_gamma_fast_paths_match_the_float_path(grid, size):
     scale = corr.variance * corr.tau_c * corr.tau_c
     assert sys.float_info.min <= scale < math.inf
     x = draw(np.random.default_rng(size), size)
-    x[0] = {"all-series": 0.0, "all-closed": 0.05, "mixed": 0.05, "lost": 5e-324}[grid]
+    x[0] = {"all-series": 0.0, "all-closed": 0.05, "mixed": 0.05, "lost": 5e-324,
+            "overflowing-x": math.inf}[grid]
     times = x * corr.tau_c
     x = times / corr.tau_c
     if grid == "all-series":
@@ -162,6 +183,8 @@ def test_array_gamma_fast_paths_match_the_float_path(grid, size):
         assert (x < dephasing._KERNEL_SWITCH).any() and (x >= dephasing._KERNEL_SWITCH).any()
     elif grid == "lost":
         assert scale > 2.0 and (dephasing._series(x) < sys.float_info.min).all()
+    elif grid == "overflowing-x":
+        assert (x >= 1e25).all()
     scalar = [gamma_exact(corr, t) for t in times.tolist()]
     assert np.array_equal(_bits(gamma_exact(corr, times)), _bits(scalar))
 

@@ -19,6 +19,7 @@ from sidephase import dephasing
 from sidephase.config import build_channel
 from sidephase.dephasing import (
     ExponentialCorrelation,
+    bisect_from,
     bisect_increasing,
     decoherence_time,
     gamma_exact,
@@ -244,3 +245,19 @@ def test_replay_does_not_depend_on_the_root_within_the_band(monkeypatch, factor)
         assert_same(correlation)
     for correlation in default_correlations().values():
         assert_same(correlation)
+
+
+def test_newton_run_that_does_not_settle_takes_the_plain_bisection(monkeypatch):
+    # With no Newton step allowed the run never settles: _unit_gamma_root
+    # returns None, and the solve evaluates Gamma at every step, which
+    # gives the same time as the Newton-guided replay.
+    seeded = seeded_correlations(20261019, 400, (-6, 14), (-12, 12))
+    correlations = list(default_correlations().values())
+    correlations += [c for c in seeded if not c.is_static][:300]
+    guided = [decoherence_time(c, "unit-gamma") for c in correlations]
+    monkeypatch.setattr(dephasing, "_NEWTON_STEPS", 0)
+    for correlation, expected in zip(correlations, guided):
+        assert dephasing._unit_gamma_root(correlation) is None
+        start = correlation.variance ** -0.5
+        plain = bisect_from(lambda t: gamma_exact(correlation, t) - 1.0, start, 1e-9)
+        assert decoherence_time(correlation, "unit-gamma") == expected == plain, correlation
