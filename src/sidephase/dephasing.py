@@ -34,7 +34,10 @@ out in fixed ASCII slots by %g's rules: 30 per cell, or 25 in a chunk with
 no cell in scientific notation, which needs no 'e+NNN' slots.  A cell
 whose rounding the kernel cannot decide exactly is formatted by '%'
 itself, so the bytes are those of '%' by construction.  The kernel's
-tables are built on its first call.
+tables are built on its first call and read by np.take, which gathers
+faster than fancy indexing; the dot is written by flat index into the
+digit area, one contiguous block of slots.  A table's chunks are copied
+into one float64 cell block, allocated once per table.
 """
 
 from __future__ import annotations
@@ -454,15 +457,21 @@ def write_csv(stream: TextIO, header: Sequence[str], *columns) -> None:
     Every CSV table is written here: bools are written as 1/0, infinities as inf.
     A chunk of at least _CSV_KERNEL_ROWS rows takes its cells from
     _format_cells, which gives the bytes of '%.17g' % x with array
-    arithmetic; a smaller chunk is formatted by '%' cell by cell.
+    arithmetic; a smaller chunk is formatted by '%' cell by cell.  The
+    chunks are copied column by column into one cell block, allocated once
+    per table; a short last chunk is a prefix of it.
     """
     import numpy as np
 
     stream.write(",".join(header) + "\n")
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    for lo in range(0, len(columns[0]), _CSV_CHUNK):
-        cells = np.column_stack([column[lo:lo + _CSV_CHUNK] for column in columns])
+    rows = len(columns[0])
+    block = np.empty((min(rows, _CSV_CHUNK), len(columns)))
+    for lo in range(0, rows, _CSV_CHUNK):
+        cells = block[: min(rows - lo, _CSV_CHUNK)]
+        for j, column in enumerate(columns):
+            cells[:, j] = column[lo:lo + _CSV_CHUNK]
         if len(cells) >= _CSV_KERNEL_ROWS:
             stream.write(_format_cells(cells))
         else:
@@ -509,21 +518,30 @@ def _scaled(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     head = fl(m hi) exactly, and m lo adds the table's remainder, so
     head + tail is m 10^p to within about 2e-15 once it is near 10^16 to
     10^17.  There head is an integer (10^16 > 2^53), and d rounds the tail
-    up where its fraction is above 1/2.
+    up where its fraction is above 1/2.  The table rows are read by np.take,
+    and the tail is summed in place.
     """
     import numpy as np
 
     row = e - _CELL_E_MIN
-    hi, lo, hi_head, hi_tail = (table[row] for table in _cell_tables()[:4])
+    hi, lo, hi_head, hi_tail = (np.take(table, row) for table in _cell_tables()[:4])
     head = m * hi
     split = _SPLITTER * m
     m_head = split - (split - m)
     m_tail = m - m_head
-    error = ((m_head * hi_head - head) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
-    tail = error + m * lo
+    # head's error terms and m lo, added in this order; each product is
+    # written over a buffer that is not read again.
+    tail = m_head * hi_head
+    tail -= head
+    tail += np.multiply(m_head, hi_tail, out=m_head)
+    tail += np.multiply(m_tail, hi_head, out=hi_head)
+    tail += np.multiply(m_tail, hi_tail, out=hi_tail)
+    tail += np.multiply(m, lo, out=lo)
     whole = np.floor(tail)
-    fraction = tail - whole
-    d = head.astype(np.int64) + whole.astype(np.int64) + (fraction > 0.5)
+    fraction = np.subtract(tail, whole, out=tail)
+    d = head.astype(np.int64)
+    d += whole.astype(np.int64)
+    d += fraction > 0.5
     return d, fraction
 
 
@@ -545,10 +563,9 @@ def _significands(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = np.where(exact, m, 1.0)
     e = np.floor(np.log10(m)).astype(np.int64)
     d, fraction = _scaled(m, e)
-    off = (d >= 10**17).astype(np.int64) - (d < 10**16)
-    redo = np.flatnonzero(off)
+    redo = np.flatnonzero((d >= 10**17) | (d < 10**16))
     if redo.size:
-        e[redo] += off[redo]
+        e[redo] += np.where(d[redo] >= 10**17, 1, -1)
         d[redo], fraction[redo] = _scaled(m[redo], e[redo])
     exact &= (np.abs(fraction - 0.5) >= _HALF_MARGIN) & (d > 10**16) & (d < 10**17)
     d[~exact] = 10**16 + 1
@@ -568,7 +585,9 @@ def _format_cells(cells: np.ndarray) -> str:
     exponent, whose 5 slots a chunk with no scientific cell leaves out
     (25 slots per cell instead of 30).  Unused slots hold NUL, which one
     bytes.translate deletes.  A cell whose digits are not exact is written
-    by '%.17g' % x itself, in the slots before the terminator.
+    by '%.17g' % x itself, in the slots before the terminator.  Every table
+    lookup goes through np.take, and the dot is written by flat index into
+    the digit area, one contiguous block of the text.
     """
     import numpy as np
 
@@ -580,19 +599,21 @@ def _format_cells(cells: np.ndarray) -> str:
     rest = d - lead * 10**16
     high = rest // 10**8
     # Four groups of four digits; int32 division is far faster than int64.
-    halves = np.stack([high, rest - high * 10**8]).astype(np.int32)
+    halves = np.empty((2, n), np.int32)
+    halves[0] = high
+    np.subtract(rest, high * 10**8, out=halves[1], casting="unsafe")
     quads = np.empty((4, n), np.int32)
     quads[::2] = halves // 10**4
     quads[1::2] = halves - quads[::2] * 10**4
     # Trailing zeros of D: the last group's, and only where that group is
     # 0000, 4 plus those of the groups before it, walked back the same way.
-    zeros = group_zeros[quads[3]]
+    zeros = np.take(group_zeros, quads[3])
     walk = np.flatnonzero(quads[3] == 0)
     if walk.size:
         earlier = quads[:3, walk]
-        walked = group_zeros[earlier[0]]
+        walked = np.take(group_zeros, earlier[0])
         for quad in earlier[1:]:
-            walked = np.where(quad == 0, walked + 4, group_zeros[quad])
+            walked = np.where(quad == 0, walked + 4, np.take(group_zeros, quad))
         zeros[walk] = walked + 4
 
     sci = (e < -4) | (e > 16)
@@ -607,30 +628,41 @@ def _format_cells(cells: np.ndarray) -> str:
     width = _CELL_WIDTH if scientific.size else _CELL_WIDTH - 5
     text = np.empty((width, n), np.uint8)
     text[0] = (x < 0) * np.uint8(ord("-"))
-    prefix = np.where(sci | (e >= 0), 0, 1 - e)
+    # point < 0 marks exactly the fixed cells with e < 0.
+    prefix = np.where(point < 0, 1 - e, 0)
     text[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None] * (np.arange(5)[:, None] < prefix)
     digits = np.empty((17, n), np.uint8)
     digits[0] = lead + ord("0")
-    digits[1:].reshape(4, 4, n)[:] = groups[quads].view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1)
+    digits[1:].reshape(4, 4, n)[:] = np.take(groups, quads).view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1)
     # Area slot j holds digit j up to the dot, the dot, then digit j - 1.
     slot = np.arange(18, dtype=np.int8)[:, None]
     area = text[6:24]
     np.multiply(digits, slot[:17] <= point, out=area[:17])
     area[17] = 0
-    area[1:] += digits * ((slot[1:] > point + 1) & (slot[1:] < end))
+    # point + 1 < slot < end as one unsigned compare: below point + 2 the
+    # difference wraps past every span.
+    after = (point + 2).view(np.uint8)
+    span = np.maximum(end - point - 2, 0).view(np.uint8)
+    area[1:] += digits * (slot[1:].view(np.uint8) - after < span)
+    # The area is one contiguous block of text, so its reshape is a view
+    # and the dot goes in by flat index.
     dots = np.flatnonzero(has_fraction & (point >= 0))
-    area[point[dots] + 1, dots] = ord(".")
+    area.reshape(-1)[(point[dots] + 1).astype(np.intp) * n + dots] = ord(".")
     if scientific.size:
         text[24:29] = 0
         power = e[scientific]
         exponent = np.abs(power)
-        text[24, scientific] = ord("e")
-        text[25, scientific] = np.where(power < 0, ord("-"), ord("+"))
-        # The exponent's digits are the last three of its 4-digit group.
-        three = groups[exponent].view(np.uint8).reshape(-1, 4).T[1:]
+        text[24][scientific] = ord("e")
+        text[25][scientific] = np.where(power < 0, ord("-"), ord("+"))
+        # The exponent's digits are the last three of its 4-digit group,
+        # scattered row by row: three 1-D scatters beat one 2-D scatter.
+        three = np.take(groups, exponent).view(np.uint8).reshape(-1, 4).T[1:]
         three[0] *= exponent >= 100
-        text[26:29, scientific] = three
-    text[width - 1].reshape(cells.shape)[:] = [ord(",")] * (cells.shape[1] - 1) + [ord("\n")]
+        for row, digit in zip(text[26:29], three):
+            row[scientific] = digit
+    terminator = text[width - 1].reshape(cells.shape)
+    terminator[:] = ord(",")
+    terminator[:, -1] = ord("\n")
     slow = np.flatnonzero(~exact)
     if slow.size:
         strings = "".join([("%.17g" % v).ljust(width - 1, "\0") for v in x[slow].tolist()])

@@ -181,6 +181,23 @@ def test_chunks_on_both_paths():
     assert written(columns) == percent_line(columns)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        dephasing._CSV_CHUNK + 1,
+        dephasing._CSV_CHUNK + dephasing._CSV_KERNEL_ROWS,
+        3 * dephasing._CSV_CHUNK - 1,
+    ],
+)
+def test_short_last_chunk_holds_no_stale_row(rows):
+    # Every column changes from chunk to chunk, so a row left over from the
+    # chunk before would show in the last, shorter one.
+    chunk = np.arange(rows) // dephasing._CSV_CHUNK
+    t = np.linspace(0.0, 1e-3, rows)
+    columns = [t, chunk * 1e3 + np.random.default_rng(rows).standard_normal(rows), -t]
+    assert written(columns) == percent_line(columns)
+
+
 RUN = """\
 import contextlib, io, json, sys
 from sidephase import cli, dephasing

@@ -184,6 +184,17 @@ class TestFidelity:
         down = density_from_bloch(BlochState(0.0, 0.0, -1.0))
         assert fidelity(up, down) == pytest.approx(0.0, abs=1e-15)
 
+    def test_refuses_an_imaginary_trace_product(self):
+        # Each diagonal imaginary part is within the 1e-12 that validation
+        # allows, but rho00^2 gives trace(a a) an imaginary part of 1.8e-12.
+        a = DensityMatrix(1 + 0.9e-12j, 0j, 0j, -0.9e-12j)
+        with pytest.raises(ValueError, match="non-negligible imaginary part"):
+            fidelity(a, a)
+
+    def test_keeps_a_negligible_imaginary_part(self):
+        a = DensityMatrix(1 + 0.4e-12j, 0j, 0j, -0.4e-12j)
+        assert fidelity(a, a) == 1.0
+
 
 @settings(deadline=None, max_examples=150)
 @given(
