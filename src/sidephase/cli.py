@@ -241,12 +241,19 @@ def _profile_for(
     """Times and Gamma(t) on the --profile-out grid, checked before writing.
 
     Built from the report's rate or correlation, so the phonon channel's
-    Debye quadrature runs once.
+    Debye quadrature runs once.  A grid whose times repeat, as
+    np.linspace gives where --t-max is too short for float64 to hold
+    --t-points distinct times, is a usage error that names both options.
     """
     import numpy as np
 
     kind = report["channel"]
     times = np.linspace(0.0, t_max, t_points)
+    if (times[1:] <= times[:-1]).any():
+        raise UsageError(
+            f"--t-max {t_max:.6g} s is too short for --t-points {t_points}: "
+            "the time grid repeats a time; lengthen --t-max or lower --t-points"
+        )
     if kind == "phonon":
         with np.errstate(over="ignore", invalid="ignore"):
             gamma_values = report["rates_per_s"]["exact-integral"] * times

@@ -10,13 +10,15 @@ motional-narrowing limit is Gamma = variance tau_c t.
 
 gamma_exact, coherence_envelope and the profile writer also take float64
 arrays and give the same bits as the float path element by element:
-numpy's + - * / round exactly as Python floats do, and the libm calls
-(exp, expm1) go through math, because numpy's own versions differ
-from them in the last bit.  Only a positive normal scale variance*tau_c^2
-is vectorized; other scales run the float path.  Both paths sum the
-kernel's small-x series in one function, _series.  numpy is imported where
-arrays are first made, so the float path, and the closed-form reports built
-on it, run without it.
+numpy's + - * / round exactly as Python floats do, and numpy's own exp
+and expm1 differ from math's in the last bit.  So expm1 goes through
+math, element by element, and exp(x) at x <= 0 is the real part of
+numpy's complex exp of x + 0j, which glibc's cexp forms with the exp
+that math.exp calls (_exp).  Static noise and a positive normal scale
+variance*tau_c^2 are vectorized; other scales run the float path.  Both
+paths sum the kernel's small-x series in one function, _series.  numpy
+is imported where arrays are first made, so the float path, and the
+closed-form reports built on it, run without it.
 
 The unit-gamma time solves Gamma(t) = 1, whose root has a closed form
 through the Lambert W function (Corless et al., Adv. Comput. Math. 5, 329
@@ -198,12 +200,36 @@ def _libm(func, values: np.ndarray) -> np.ndarray:
     return np.fromiter(flat, np.float64, values.size).reshape(values.shape)
 
 
+def _exp(values: np.ndarray) -> np.ndarray:
+    """math.exp of each element of a float64 array, with its bits.
+
+    A cell x <= 0 is the real part of numpy's complex exp of x + 0j, which
+    calls libm's cexp.  For a finite real part up to about 709.08 and an
+    imaginary part of +0, glibc's cexp returns exp(x) * 1.0, from the exp
+    that math.exp calls; above that it scales the result and can differ.
+    Every other cell (positive or NaN) goes through _libm, so it keeps
+    math.exp's bits and its OverflowError past about 709.78.
+    """
+    import numpy as np
+
+    z = np.zeros(values.shape, np.complex128)
+    z.real = values
+    with np.errstate(all="ignore"):
+        np.exp(z, out=z)
+    result = z.real.copy()
+    others = np.flatnonzero(~(values <= 0.0))
+    if others.size:
+        result.flat[others] = _libm(math.exp, values.ravel()[others])
+    return result
+
+
 def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarray:
     """gamma_exact for each element of t, vectorized for a normal scale.
 
     The kernel takes one pass: the series on every cell, then the closed
     form written over the cells at or past _KERNEL_SWITCH.
-    Static noise and a zero, subnormal or overflowing scale take the float path.
+    Static noise is gamma_static's closed form; a zero, subnormal or
+    overflowing scale takes the float path.
     """
     import numpy as np
 
@@ -212,9 +238,12 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
     shape = t.shape
     t = np.asarray(t, dtype=np.float64).ravel()
     scale = correlation.variance * correlation.tau_c * correlation.tau_c
-    if not _is_normal(scale):
+    if not (correlation.is_static or _is_normal(scale)):
         return _libm(lambda v: gamma_exact(correlation, v), t).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
+        if correlation.is_static:
+            # gamma_static's operations in its order, so its bits.
+            return (0.5 * correlation.variance * t * t).reshape(shape)
         x = t / correlation.tau_c
         kernel = _series(x)
         closed = np.flatnonzero(x >= _KERNEL_SWITCH)
@@ -285,9 +314,12 @@ def gamma_exact(correlation: ExponentialCorrelation, t):
 
 
 def coherence_envelope(correlation: ExponentialCorrelation, t):
-    """exp(-Gamma(t)), for a float or an array as in gamma_exact."""
+    """exp(-Gamma(t)), for a float or an array as in gamma_exact.
+
+    An array's envelope comes from _exp, with math.exp's bits.
+    """
     if _is_array(t):
-        return _libm(math.exp, -gamma_exact(correlation, t))
+        return _exp(-gamma_exact(correlation, t))
     return math.exp(-gamma_exact(correlation, t))
 
 
@@ -671,9 +703,13 @@ def _format_cells(cells: np.ndarray) -> str:
 
 
 def write_profile_csv(stream: TextIO, times: np.ndarray, gamma_values: np.ndarray) -> None:
-    """Write t, Gamma and exp(-Gamma) as in write_csv."""
+    """Write t, Gamma and exp(-Gamma) as in write_csv.
+
+    The envelope column is _exp(-Gamma): libm's complex exp, with the bits
+    of math.exp(-Gamma) in every cell.
+    """
     header = ("t_seconds", "gamma", "envelope")
-    write_csv(stream, header, times, gamma_values, _libm(math.exp, -gamma_values))
+    write_csv(stream, header, times, gamma_values, _exp(-gamma_values))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -319,3 +320,84 @@ def test_non_finite_profile_prints_one_stderr_line(tmp_path):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: hyperfine channel: Gamma(t) is not finite")
     assert not profile.exists()
+
+
+def test_collapsed_profile_grid_names_its_options(tmp_path):
+    """A --t-max too short for --t-points distinct times exits 2 naming both."""
+    profile = tmp_path / "p.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = ["channel", "hyperfine", "--profile-out", str(profile), "--t-max", "5e-324"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sidephase.cli", *argv, "--t-points", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: --t-max ")
+    assert "--t-points 3" in lines[0]
+    assert not profile.exists()
+
+
+@pytest.mark.parametrize("variance", [2.0, 1e300, 5e-324, 0.0, sys.float_info.max])
+def test_static_noise_array_is_gamma_static_bit_for_bit(variance):
+    corr = ExponentialCorrelation(variance, math.inf)
+    rng = np.random.default_rng(40)
+    times = np.concatenate(
+        [rng.uniform(0.0, 10.0, 2000), 10.0 ** rng.uniform(-320.0, 308.0, 1999),
+         [0.0, 5e-324, math.inf]]
+    ).reshape(3, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        array = gamma_exact(corr, times)
+    assert array.shape == times.shape
+    expected = [[gamma_static(corr, t) for t in row] for row in times.tolist()]
+    assert np.array_equal(_bits(array), _bits(expected))
+
+
+def _math_exp_bits(values) -> np.ndarray:
+    return _bits([math.exp(v) for v in np.ravel(values).tolist()]).reshape(np.shape(values))
+
+
+def test_exp_has_math_exp_bits_at_nonpositive_arguments():
+    rng = np.random.default_rng(40)
+    subnormal_band = rng.uniform(-745.13, -708.4, 50_000)
+    x = np.concatenate(
+        [rng.uniform(-746.0, 0.0, 200_000), subnormal_band,
+         [-0.0, 0.0, -math.inf, -745.13, -708.4, -5e-324]]
+    )
+    result = dephasing._exp(x)
+    assert np.array_equal(_bits(result), _math_exp_bits(x))
+    band = result[200_000:250_000]
+    assert ((band > 0.0) & (band < sys.float_info.min)).all()
+
+
+def test_exp_of_positive_and_nan_cells_is_math_exp():
+    rng = np.random.default_rng(41)
+    x = np.concatenate([rng.uniform(0.0, 709.78, 20_000), [5e-324, 709.08, 709.78, math.nan]])
+    x[::2] *= -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = dephasing._exp(x)
+    assert np.array_equal(_bits(result), _math_exp_bits(x))
+
+
+def test_exp_overflow_raises_as_math_exp_does():
+    x = np.array([-1.0, 709.79, 0.5])
+    with pytest.raises(OverflowError):
+        math.exp(709.79)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            dephasing._exp(x)
+
+
+def test_exp_keeps_a_2d_shape():
+    x = -np.random.default_rng(42).uniform(0.0, 800.0, (3, 5))
+    x[1, 2] = 2.0
+    x[2, 4] = math.nan
+    result = dephasing._exp(x)
+    assert result.shape == (3, 5)
+    assert np.array_equal(_bits(result), _math_exp_bits(x))
