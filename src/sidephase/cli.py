@@ -241,19 +241,14 @@ def _profile_for(
     """Times and Gamma(t) on the --profile-out grid, checked before writing.
 
     Built from the report's rate or correlation, so the phonon channel's
-    Debye quadrature runs once.  A grid whose times repeat, as
-    np.linspace gives where --t-max is too short for float64 to hold
-    --t-points distinct times, is a usage error that names both options.
+    Debye quadrature runs once.  check_profile refuses a grid whose times
+    repeat, as np.linspace gives where --t-max is too short for float64 to
+    hold --t-points distinct times; that is a usage error naming both options.
     """
     import numpy as np
 
     kind = report["channel"]
     times = np.linspace(0.0, t_max, t_points)
-    if (times[1:] <= times[:-1]).any():
-        raise UsageError(
-            f"--t-max {t_max:.6g} s is too short for --t-points {t_points}: "
-            "the time grid repeats a time; lengthen --t-max or lower --t-points"
-        )
     if kind == "phonon":
         with np.errstate(over="ignore", invalid="ignore"):
             gamma_values = report["rates_per_s"]["exact-integral"] * times
@@ -267,7 +262,15 @@ def _profile_for(
             f"{kind} channel: Gamma(t) is not finite up to "
             f"--t-max {t_max:.6g} s; shorten --t-max"
         )
-    check_profile(times, gamma_values)
+    try:
+        check_profile(times, gamma_values)
+    except ValueError as exc:
+        if str(exc) != "times must be nonnegative and increasing":
+            raise
+        raise UsageError(
+            f"--t-max {t_max:.6g} s is too short for --t-points {t_points}: "
+            "the time grid repeats a time; lengthen --t-max or lower --t-points"
+        ) from None
     return times, gamma_values
 
 

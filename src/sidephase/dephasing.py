@@ -14,8 +14,8 @@ numpy's + - * / round exactly as Python floats do, and numpy's own exp
 and expm1 differ from math's in the last bit.  So expm1 goes through
 math, element by element, and exp(x) at x <= 0 is the real part of
 numpy's complex exp of x + 0j, which glibc's cexp forms with the exp
-that math.exp calls (_exp).  Static noise and a positive normal scale
-variance*tau_c^2 are vectorized; other scales run the float path.  Both
+that math.exp calls (_exp).  Only a positive normal scale
+variance*tau_c^2 is vectorized; other scales run the float path.  Both
 paths sum the kernel's small-x series in one function, _series.  numpy
 is imported where arrays are first made, so the float path, and the
 closed-form reports built on it, run without it.
@@ -203,12 +203,11 @@ def _libm(func, values: np.ndarray) -> np.ndarray:
 def _exp(values: np.ndarray) -> np.ndarray:
     """math.exp of each element of a float64 array, with its bits.
 
-    A cell x <= 0 is the real part of numpy's complex exp of x + 0j, which
-    calls libm's cexp.  For a finite real part up to about 709.08 and an
-    imaginary part of +0, glibc's cexp returns exp(x) * 1.0, from the exp
-    that math.exp calls; above that it scales the result and can differ.
-    Every other cell (positive or NaN) goes through _libm, so it keeps
-    math.exp's bits and its OverflowError past about 709.78.
+    The elements must be <= 0 or NaN, as -Gamma is.  Each is the real part
+    of numpy's complex exp of x + 0j, which calls libm's cexp; for such a
+    real part and an imaginary part of +0, glibc's cexp returns
+    exp(x) * 1.0, from the exp that math.exp calls.  NaN cells go through
+    _libm, so they keep math.exp's bits.
     """
     import numpy as np
 
@@ -217,9 +216,9 @@ def _exp(values: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         np.exp(z, out=z)
     result = z.real.copy()
-    others = np.flatnonzero(~(values <= 0.0))
-    if others.size:
-        result.flat[others] = _libm(math.exp, values.ravel()[others])
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        result.flat[nan] = _libm(math.exp, values.ravel()[nan])
     return result
 
 
@@ -228,8 +227,7 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
 
     The kernel takes one pass: the series on every cell, then the closed
     form written over the cells at or past _KERNEL_SWITCH.
-    Static noise is gamma_static's closed form; a zero, subnormal or
-    overflowing scale takes the float path.
+    Static noise and a zero, subnormal or overflowing scale take the float path.
     """
     import numpy as np
 
@@ -238,12 +236,9 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
     shape = t.shape
     t = np.asarray(t, dtype=np.float64).ravel()
     scale = correlation.variance * correlation.tau_c * correlation.tau_c
-    if not (correlation.is_static or _is_normal(scale)):
+    if not _is_normal(scale):
         return _libm(lambda v: gamma_exact(correlation, v), t).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        if correlation.is_static:
-            # gamma_static's operations in its order, so its bits.
-            return (0.5 * correlation.variance * t * t).reshape(shape)
         x = t / correlation.tau_c
         kernel = _series(x)
         closed = np.flatnonzero(x >= _KERNEL_SWITCH)
