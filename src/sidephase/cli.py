@@ -153,8 +153,9 @@ def _open_outputs(
 
 
 def _config_section(path: str | None, kind: str) -> dict[str, float]:
-    """The --config file's parameters for kind; none without a file."""
-    return read_channel_config(path).get(kind, {}) if path else {}
+    """The --config file's parameters for kind; none without --config."""
+    # An empty path is read, and refused as not found.
+    return {} if path is None else read_channel_config(path).get(kind, {})
 
 
 def _resolve_seed(flag_value: int | None) -> int:

@@ -4,11 +4,18 @@ Config files are flat INI-style key-value text with one section per
 channel kind; every key must be a known parameter of that channel and
 every value must parse as a float.  Unknown sections or keys are errors,
 not warnings, so typos cannot silently fall back to defaults.
+
+The grammar, line by line after stripping surrounding whitespace: blank
+lines and lines starting with ``#`` or ``;`` are skipped (there are no
+inline comments); ``[name]`` opens the section ``name``, which must be a
+channel kind (``[DEFAULT]`` is not one); any other line is ``key = value``
+or ``key: value``, split at its first ``=`` or ``:``, with the key
+lower-cased.  Indentation has no meaning: there are no continuation lines
+and no interpolation.  A section or a key given twice is an error.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
@@ -68,40 +75,57 @@ SWEEPABLE: dict[str, frozenset[str]] = {
 
 def read_channel_config(path: str) -> dict[str, dict[str, float]]:
     """Parse and validate a config file into {section: {key: value}}."""
-    parser = configparser.ConfigParser(interpolation=None)
+    result: dict[str, dict[str, float]] = {}
+    section = ""
+    values: dict[str, float] | None = None  # the open section's values
     try:
-        # Opened here, not by parser.read, which skips unreadable files;
-        # the encoding is the locale default, as parser.read would use.
+        # The read stays inside the try: a decoding error surfaces while
+        # iterating.  The encoding is the locale default.
         with open(path) as fh:
-            parser.read_file(fh)
+            for number, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line[0] in "#;":
+                    continue
+                if line[0] == "[" and line[-1] == "]":
+                    section = line[1:-1]
+                    if section not in PARAMS:
+                        raise UsageError(f"unknown config section: [{section}]")
+                    if section in result:
+                        raise _malformed(path, number, f"section [{section}] repeated")
+                    values = result[section] = {}
+                    continue
+                key, sep, raw = line.partition("=")
+                if ":" in key:
+                    key, sep, raw = line.partition(":")
+                if not sep:
+                    raise _malformed(path, number, f"{line!r} is not [section] or key = value")
+                if values is None:
+                    raise _malformed(path, number, f"{line!r} comes before any [section]")
+                key = key.strip().lower()
+                if not key:
+                    raise _malformed(path, number, f"empty key in {line!r}")
+                if key in values:
+                    raise _malformed(path, number, f"key {key!r} repeated in [{section}]")
+                if key not in PARAMS[section]:
+                    raise UsageError(f"unknown key {key!r} in section [{section}]")
+                raw = raw.strip()
+                try:
+                    values[key] = float(raw)
+                except ValueError as exc:
+                    raise UsageError(
+                        f"key {key!r} in [{section}] is not a number: {raw!r}"
+                    ) from exc
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
     except IsADirectoryError:
         raise UsageError(f"config file is a directory: {path}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(f"config file is not {exc.encoding} text: {path}") from None
-    except configparser.Error as exc:
-        # Missing section header, duplicate option or section, bad line;
-        # configparser's messages span lines, an error line must not.
-        detail = " ".join(str(exc).split())
-        raise UsageError(f"malformed config file {path}: {detail}") from None
-    result: dict[str, dict[str, float]] = {}
-    for section in parser.sections():
-        if section not in PARAMS:
-            raise UsageError(f"unknown config section: [{section}]")
-        known = PARAMS[section]
-        values: dict[str, float] = {}
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise UsageError(f"unknown key {key!r} in section [{section}]")
-            try:
-                values[key] = float(raw)
-            except ValueError as exc:
-                raise UsageError(
-                    f"key {key!r} in [{section}] is not a number: {raw!r}"
-                ) from exc
-        result[section] = values
     return result
+
+
+def _malformed(path: str, number: int, detail: str) -> UsageError:
+    return UsageError(f"malformed config file {path}: line {number}: {detail}")
 
 
 def build_channel(kind: str, params: dict[str, float] | None = None):

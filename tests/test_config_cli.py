@@ -33,6 +33,31 @@ class TestConfigParsing:
         parsed = read_channel_config(str(cfg))
         assert parsed == {"hyperfine": {"field": 3.0, "temperature": 0.05}}
 
+    def test_comments_delimiters_case_and_crlf_read_as_the_plain_file(self, tmp_path):
+        plain = tmp_path / "plain.ini"
+        plain.write_text(
+            "[hyperfine]\nfield = 3.0\ntemperature = 0.05\n[phonon]\ntemperature = 2.0\n"
+        )
+        variant = tmp_path / "variant.ini"
+        variant.write_bytes(
+            b"# channel parameters\r\n"
+            b"\r\n"
+            b"[hyperfine]\r\n"
+            b"; field in T\r\n"
+            b"field: 3.0\r\n"
+            b"   # indented comment\r\n"
+            b"TEMPERATURE   =   0.05\r\n"
+            b"\r\n"
+            b"[phonon]\r\n"
+            b"temperature=2.0\r\n"
+        )
+        expected = {
+            "hyperfine": {"field": 3.0, "temperature": 0.05},
+            "phonon": {"temperature": 2.0},
+        }
+        assert read_channel_config(str(plain)) == expected
+        assert read_channel_config(str(variant)) == expected
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError, match="not found"):
             read_channel_config(str(tmp_path / "absent.ini"))

@@ -456,11 +456,33 @@ def test_unallocatable_ensemble_exits_2_without_csv(tmp_path, capsys):
     assert not (tmp_path / "mc.json").exists()
 
 
+# Each case: the file's text, and the start of the error line after
+# "error: ", which names the file and the faulty line where there is one.
 MALFORMED_CONFIGS = {
-    "no_section_header": "a0 = 1e8\n",
-    "duplicate_option": "[hyperfine]\nfield = 1.0\nfield = 2.0\n",
-    "duplicate_section": "[hyperfine]\nfield = 1.0\n[hyperfine]\ntemperature = 2.0\n",
-    "unparsable_line": "[hyperfine]\nfield = 1.0\nnot a key value line\n",
+    "no_section_header": ("a0 = 1e8\n", "malformed config file {config}: line 1: "),
+    "duplicate_option": (
+        "[hyperfine]\nfield = 1.0\nfield = 2.0\n", "malformed config file {config}: line 3: "
+    ),
+    "duplicate_option_case": (
+        "[hyperfine]\nfield = 1.0\nFIELD = 2.0\n", "malformed config file {config}: line 3: "
+    ),
+    "duplicate_section": (
+        "[hyperfine]\nfield = 1.0\n[hyperfine]\ntemperature = 2.0\n",
+        "malformed config file {config}: line 3: ",
+    ),
+    "unparsable_line": (
+        "[hyperfine]\nfield = 1.0\nnot a key value line\n",
+        "malformed config file {config}: line 3: ",
+    ),
+    "empty_key": ("[hyperfine]\n= 1.0\n", "malformed config file {config}: line 2: "),
+    "text_after_header": (
+        "[hyperfine] x\nfield = 1.0\n", "malformed config file {config}: line 1: "
+    ),
+    "default_section": (
+        "[DEFAULT]\nfield = 3.0\n[hyperfine]\ntemperature = 0.2\n",
+        "unknown config section: [DEFAULT]",
+    ),
+    "default_only": ("[DEFAULT]\nfield = 3.0\n", "unknown config section: [DEFAULT]"),
 }
 
 
@@ -475,12 +497,13 @@ MALFORMED_CONFIGS = {
 )
 def test_malformed_config_exits_2(tmp_path, capsys, case, command):
     config = tmp_path / f"{case}.ini"
-    config.write_text(MALFORMED_CONFIGS[case])
+    text, message = MALFORMED_CONFIGS[case]
+    config.write_text(text)
     argv = command + ["--config", str(config)]
     if command[0] == "sweep":
         argv += ["--out", str(tmp_path / "sweep.csv")]
     line = _assert_usage_error(main(argv), capsys)
-    assert line.startswith(f"error: malformed config file {config}: ")
+    assert line.startswith("error: " + message.format(config=config))
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -548,6 +571,8 @@ def _decodes(data, encoding):
 
 
 def _config_path(tmp_path, case):
+    if case == "empty":
+        return ""
     if case == "missing":
         return tmp_path / "absent.ini"
     if case == "directory":
@@ -563,23 +588,22 @@ def _config_path(tmp_path, case):
     "case,message",
     [
         ("missing", "config file not found: "),
+        ("empty", "config file not found: "),
         ("directory", "config file is a directory: "),
         ("undecodable", "config file is not "),
     ],
-    ids=["missing", "directory", "undecodable"],
+    ids=["missing", "empty", "directory", "undecodable"],
 )
 @pytest.mark.parametrize("command", CONFIG_COMMANDS, ids=["channel", "sweep"])
 def test_unreadable_config_names_the_file(tmp_path, capsys, case, message, command):
     if case == "undecodable" and _decodes(b"\xff", locale.getpreferredencoding(False)):
         pytest.skip("the locale encoding decodes every byte")
     config = _config_path(tmp_path, case)
-    argv = command + ["--config", str(config)]
-    if command[0] == "sweep":
-        argv += ["--out", str(tmp_path / "sweep.csv")]
+    argv = command + ["--config", str(config), "--out", str(tmp_path / "out")]
     line = _assert_usage_error(main(argv), capsys)
     assert line.startswith("error: " + message)
     assert str(config) in line
-    assert not (tmp_path / "sweep.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

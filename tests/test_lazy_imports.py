@@ -131,8 +131,9 @@ def test_phonon_quadrature_loads_scipy_only_below_the_saturation(tmp_path):
     assert lines == ["0 []", "0 []", "0 True", repr(PHONON_20K_REPORT)]
 
 
-# What a closed-form report must not load.
-HEAVY = ("numpy", "scipy", "sidephase.montecarlo", "sidephase.register")
+# What a closed-form report must not load.  configparser is in the list
+# because the config reader is a single pass of its own.
+HEAVY = ("numpy", "scipy", "sidephase.montecarlo", "sidephase.register", "configparser")
 HEAVY_LOADED = f"sorted(m for m in sys.modules if m in {HEAVY!r} or m.split('.')[0] in {HEAVY!r})"
 
 NUMPY_FREE_COMMANDS = [["constants"], ["audit"]] + [
@@ -181,7 +182,10 @@ EXPORTS = {
 }
 
 
-def test_cli_and_numpy_free_commands_load_no_numpy():
+def test_cli_and_numpy_free_commands_load_no_numpy(tmp_path):
+    config = tmp_path / "hyperfine.ini"
+    config.write_text("[hyperfine]\nfield = 3.0\n")
+    commands = NUMPY_FREE_COMMANDS + [["channel", "hyperfine", "--config", str(config)]]
     lines = _fresh(
         "import contextlib, io, sys\n"
         "import sidephase.cli\n"
@@ -192,12 +196,12 @@ def test_cli_and_numpy_free_commands_load_no_numpy():
         "    except SystemExit:\n"
         "        pass\n"
         f"print({HEAVY_LOADED})\n"
-        f"for argv in {NUMPY_FREE_COMMANDS!r}:\n"
+        f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = sidephase.cli.main(argv)\n"
         f"    print(code, {HEAVY_LOADED})\n"
     )
-    assert lines == ["[]", "[]"] + ["0 []"] * len(NUMPY_FREE_COMMANDS)
+    assert lines == ["[]", "[]"] + ["0 []"] * len(commands)
 
 
 def test_every_exported_name_resolves_to_its_module():
