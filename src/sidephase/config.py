@@ -116,11 +116,11 @@ def read_channel_config(path: str) -> dict[str, dict[str, float]]:
                         f"key {key!r} in [{section}] is not a number: {raw!r}"
                     ) from exc
     except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
+        raise UsageError(f"config file not found: {path!r}") from None
     except IsADirectoryError:
-        raise UsageError(f"config file is a directory: {path}") from None
+        raise UsageError(f"config file is a directory: {path!r}") from None
     except UnicodeDecodeError as exc:
-        raise UsageError(f"config file is not {exc.encoding} text: {path}") from None
+        raise UsageError(f"config file is not {exc.encoding} text: {path!r}") from None
     return result
 
 

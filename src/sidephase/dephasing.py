@@ -22,9 +22,8 @@ closed-form reports built on it, run without it.
 
 The unit-gamma time solves Gamma(t) = 1, whose root has a closed form
 through the Lambert W function (Corless et al., Adv. Comput. Math. 5, 329
-(1996)).  decoherence_time finds it by Newton's method, then replays its
-1e-9 bisection against it: the bisection's bits, with Gamma evaluated only
-where rounding could decide a step.
+(1996)).  decoherence_time finds it by Newton's method, or, where Newton
+finds none, by bisection to the float's resolution.
 
 write_csv writes every CSV table, each cell as '%.17g' % x.  A chunk of at
 least _CSV_KERNEL_ROWS rows gets those bytes from array arithmetic instead
@@ -87,9 +86,6 @@ _SERIES_DIVISORS = tuple(-float(n) for n in range(3, 12))
 # cycle; the step after one this small leaves the root good to ~1e-15.
 _NEWTON_RTOL = 1e-13
 _NEWTON_STEPS = 40
-# Within this relative distance of the Newton root the bisection evaluates
-# Gamma; farther out its rounding (~1e-15) cannot flip the sign of Gamma - 1.
-_ROOT_BAND = 1e-11
 # CSV rows formatted per write; bounds the text held at once.
 _CSV_CHUNK = 4096
 # Chunks of at least this many rows are formatted by _format_cells; below
@@ -252,10 +248,15 @@ def _gamma_array(correlation: ExponentialCorrelation, t: np.ndarray) -> np.ndarr
 
 
 def gamma_static(correlation: ExponentialCorrelation, t: float) -> float:
-    """Frozen-noise limit: variance * t^2 / 2."""
+    """Frozen-noise limit: variance * t^2 / 2.
+
+    t is halved, not the variance, which may be subnormal: halving 5e-324
+    gives 0.  Where neither is below twice the smallest normal float, both
+    orders give the same bits.
+    """
     if not t >= 0.0:  # NaN too
         raise ValueError("t must be nonnegative")
-    return 0.5 * correlation.variance * t * t
+    return 0.5 * t * correlation.variance * t
 
 
 def gamma_exact(correlation: ExponentialCorrelation, t):
@@ -322,46 +323,37 @@ def bisect_increasing(func, lo: float, hi: float, rtol: float) -> float:
     """Root of an increasing func on [lo, hi] by bisection.
 
     Requires func(lo) <= 0 <= func(hi), which a NaN at either end fails;
-    converges to rtol relative width, or stops after 200 halvings.
+    a NaN inside counts as func >= 0.  Converges to rtol relative width,
+    or stops after 200 halvings.  The midpoint is the sum of the halves,
+    which does not overflow near the largest float.
     """
-    return _bisect(func, lo, hi, rtol, -math.inf, math.inf, grow=False)
+    if not func(lo) <= 0.0 <= func(hi):
+        raise ValueError("root is not bracketed")
+    for _ in range(200):
+        mid = 0.5 * lo + 0.5 * hi
+        if hi - lo <= rtol * mid:
+            return mid
+        if func(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * lo + 0.5 * hi
 
 
 def bisect_from(func, start: float, rtol: float) -> float:
     """Root of an increasing func on [0, inf) with func(0) <= 0.
 
     start is doubled until func >= 0 there (a NaN also stops it), and
-    bisect_increasing runs on [0, that point].  A doubling that reaches inf
-    returns inf: the root is beyond float range.
+    bisect_increasing runs on [0, that point].  A doubling that overflows
+    tries the largest float once; past that it returns inf, with no call
+    at inf: the root is beyond float range.
     """
-    return _bisect(func, 0.0, start, rtol, -math.inf, math.inf, grow=True)
-
-
-def _bisect(func, lo, hi, rtol, below, above, grow):
-    """bisect_increasing on [lo, hi], after bisect_from's doubling of hi if grow.
-
-    Every step at t < below is taken as func(t) < 0, and every step at
-    t > above as func(t) > 0; func is called only between the edges, or
-    at every step where they are -inf and inf, or NaN.  A NaN from func
-    counts as func >= 0.
-    """
-    while grow and (hi < below or not hi > above and func(hi) < 0.0):
-        hi *= 2.0
-    if grow and hi == math.inf:
+    hi = start
+    while hi < math.inf and func(hi) < 0.0:
+        hi = min(2.0 * hi, sys.float_info.max) if hi < sys.float_info.max else math.inf
+    if hi == math.inf:
         return math.inf
-    lo_ok = lo < below or not lo > above and func(lo) <= 0.0
-    hi_ok = hi > above or not hi < below and func(hi) >= 0.0
-    if not (lo_ok and hi_ok):
-        raise ValueError("root is not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rtol * mid:
-            return mid
-        if mid < below or not mid > above and func(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_increasing(func, 0.0, hi, rtol)
 
 
 def decoherence_time(
@@ -375,24 +367,21 @@ def decoherence_time(
                   rate is subnormal, or above 1/sys.float_info.min
                   (about 4.49e307, where the time is subnormal) up to
                   inf; rejected for static noise
-    unit-gamma  : the t solving Gamma(t) = 1, bisected to 1e-9 relative
+    unit-gamma  : the t solving Gamma(t) = 1, to a few ulp
 
     Zero variance returns math.inf under every convention, and so does a
     rate variance * tau_c that underflows to 0 (markovian and unit-gamma).
 
-    unit-gamma returns the 1e-9 bisection's result: bisect_from on
-    Gamma(t) - 1 from t = variance^(-1/2) with rtol 1e-9, replayed by the
-    same loop against root, a Newton root of Gamma = 1.  A step at t below
-    root - 1e-11 root is short and one above root + 1e-11 root is long,
-    decided with no call; only between those edges, where Gamma's rounding
-    could decide the step, is Gamma evaluated.  The steps, and so the
-    result, are those of a bisection that evaluates Gamma at every step;
-    Gamma is evaluated about 1.1 times in ten solves (306 times in the
-    2,697 solves of the benchmark's sweep iteration) instead of ~35 times
-    per solve.  Where _unit_gamma_root finds none (a variance or, unless
-    the noise is static, a scale variance tau_c^2 that is not a positive
-    normal float, or a Newton run that does not settle), root and the
-    edges are NaN and Gamma is evaluated at every step.
+    unit-gamma returns the Newton root of _unit_gamma_root.  Where that
+    finds none (a variance or, unless the noise is static, a scale
+    variance tau_c^2 that is not a positive normal float, or a Newton run
+    that does not settle), it returns bisect_from on Gamma(t) - 1 from
+    t = variance^(-1/2) with rtol sys.float_info.epsilon, about 57 Gamma
+    calls at the median, or inf where the root lies beyond the largest
+    float.  Gamma's own rounding error bounds either: it is within about
+    3 ulp of the root of the exact Gamma where x = t/tau_c is below 0.05
+    or above 1, and up to about 17 ulp just above 0.05, where the kernel's
+    closed form x + expm1(-x) loses digits.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention: {convention!r}")
@@ -412,18 +401,13 @@ def decoherence_time(
     if rate == 0.0:
         # Gamma(t) < variance tau_c t, below 5e-324 t, is under 1 at every finite t.
         return math.inf
-    # unit-gamma: Gamma is strictly increasing and unbounded, so a bracket
-    # always exists; start from the static-limit guess and expand.
     root = _unit_gamma_root(correlation)
     if root is None:
-        # No comparison with NaN is true, so every step evaluates Gamma:
-        # those are the plain bisection's steps.
-        root = math.nan
-    # Farther from the root than Gamma's rounding can move it, the sign of
-    # Gamma(t) - 1 is the sign of t - root.
-    edges = root - _ROOT_BAND * root, root + _ROOT_BAND * root
-    start = correlation.variance ** -0.5
-    return _bisect(lambda t: gamma_exact(correlation, t) - 1.0, 0.0, start, 1e-9, *edges, grow=True)
+        # Gamma is strictly increasing and unbounded, and Gamma(t) <=
+        # variance t^2 / 2 puts the root above the static-limit start.
+        start = correlation.variance ** -0.5
+        return bisect_from(lambda t: gamma_exact(correlation, t) - 1.0, start, sys.float_info.epsilon)
+    return root
 
 
 def _unit_gamma_root(correlation: ExponentialCorrelation) -> float | None:
@@ -433,9 +417,10 @@ def _unit_gamma_root(correlation: ExponentialCorrelation) -> float | None:
     log kernel(x) = -log(variance tau_c^2) in log x, where x = t/tau_c.
     log kernel is concave in log x, so the steps climb monotonically from
     the lower bound x = sqrt(2/(variance tau_c^2)), from kernel(x) <= x^2/2.
-    None (plain bisection) for a variance or, unless the noise is static,
-    a scale variance tau_c^2 that is not a positive normal float, and
-    for a Newton run that does not settle.
+    None, which decoherence_time takes to bisection, for a variance or,
+    unless the noise is static, a scale variance tau_c^2 that is not a
+    positive normal float, for a Newton run that does not settle, and for
+    a root beyond the largest float.
     """
     variance = correlation.variance
     if not _is_normal(variance):

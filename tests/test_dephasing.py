@@ -323,11 +323,31 @@ class TestBisection:
             bisect_increasing(func, 0.0, 10.0, rtol=1e-9)
 
     def test_doubling_to_inf_returns_inf(self):
-        # x - max is negative at every power of two up to 2^1023; the next
-        # doubling is inf.
-        assert bisect_from(lambda x: x - sys.float_info.max, 1.0, rtol=1e-9) == math.inf
+        # x - max is negative at every power of two up to 2^1023; the
+        # doubling then tries max itself, where the root is.
+        root = bisect_from(lambda x: x - sys.float_info.max, 1.0, rtol=1e-9)
+        assert root == pytest.approx(sys.float_info.max, rel=1e-9)
         # It returns before the bracket check, which a NaN at inf would fail.
         assert bisect_from(lambda x: -1.0 if x < math.inf else math.nan, 1.0, rtol=1e-9) == math.inf
+
+    def test_doubling_stops_at_inf(self):
+        # A func negative everywhere is called at every power of two up to
+        # 2^1023 and at max, but not at inf.
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            assert len(calls) <= 1100, "the doubling did not stop"
+            return -1.0
+
+        assert bisect_from(func, 1.0, rtol=1e-9) == math.inf
+        assert calls[-2:] == [2.0**1023, sys.float_info.max]
+
+    @pytest.mark.parametrize("root,start", [(1.2e308, 3.0), (1.0e308, 1.0)])
+    def test_root_near_the_largest_float(self, root, start):
+        # 1.2e308 is bisected above max/2, where lo + hi overflows; 1.0e308
+        # lies between 2^1023 and max.
+        assert bisect_from(lambda x: x - root, start, rtol=1e-9) == pytest.approx(root, rel=1e-9)
 
     def test_nan_at_the_doubled_end_is_not_a_bracket(self):
         # A NaN stops the doubling at 8, and the bracket check refuses it.

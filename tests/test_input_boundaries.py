@@ -253,6 +253,10 @@ class TestColdPhonon:
         assert [row.split(",")[3] for row in rows] == ["inf", "inf"]
 
 
+# The Markovian times of the finite rows of test_unit_gamma_report.
+MARKOVIAN_TIMES = {"tau1 = 1e-300": 8.144e293, "tau1 = 7.5e-315": 1.0859e308}
+
+
 class TestUnderflowingScales:
     """variance * tau_c^2, or even variance * tau_c, below float range.
 
@@ -266,6 +270,7 @@ class TestUnderflowingScales:
         "body,finite",
         [
             ("tau1 = 1e-300", True),  # scale 0, variance tau_c 1.2e-294
+            ("tau1 = 7.5e-315", True),  # variance tau_c subnormal, root near the largest float
             ("temperature = 0.0037\ntau1 = 1e-20", False),  # variance tau_c subnormal
             ("a0 = 1e-150\ntau1 = 1e-300", False),  # variance tau_c 0
         ],
@@ -282,7 +287,7 @@ class TestUnderflowingScales:
         assert report["flags"]["infinite_decoherence_time"] is not finite
         if finite:
             markovian = report["decoherence_time_s"]["markovian"]
-            assert markovian == pytest.approx(8.144e293, rel=1e-3)
+            assert markovian == pytest.approx(MARKOVIAN_TIMES[body], rel=1e-3)
             assert time == pytest.approx(markovian, rel=1e-8)
         else:
             assert time is None
@@ -588,7 +593,7 @@ def _config_path(tmp_path, case):
     "case,message",
     [
         ("missing", "config file not found: "),
-        ("empty", "config file not found: "),
+        ("empty", "config file not found: ''"),
         ("directory", "config file is a directory: "),
         ("undecodable", "config file is not "),
     ],

@@ -1,65 +1,123 @@
-"""Unit-gamma time: the Newton-guided solve returns the plain bisection's bits.
+"""Unit-gamma time: the float root of Gamma(t) = 1, held to an mpmath root.
 
-decoherence_time(..., "unit-gamma") finds the root of Gamma(t) = 1 by
-Newton's method and replays the doubling and the 1e-9 bisection against it.
-Its result must equal, float for float, what the doubling and
-bisect_increasing give when every step evaluates Gamma, or raise the same
-error.  That plain solve is kept here as the oracle.
+decoherence_time(..., "unit-gamma") returns the Newton root of
+_unit_gamma_root or, where that finds none, bisect_from on Gamma - 1 to the
+float's resolution.  Each finite time here is compared with the root of the
+exact Gamma, solved by mpmath at 30 digits from the float time, in ulps of
+that root, with a bound per band of the root's x = t/tau_c:
+- at most 12 ulp for x in [0.05, 0.2), just above the kernel's series
+  switch, where Gamma's own rounding error feeds through to the root;
+- at most 5 ulp for x in [0.2, 1), where that error is smaller;
+- at most 3 ulp elsewhere, static noise (x = 0) included.
+The bisection, which finds where the float Gamma - 1 changes sign, is held
+to the same bounds.  The time is inf exactly where the root exceeds the
+largest float, which includes every rate variance * tau_c that underflows
+to 0.
 """
 
 import math
 import random
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidephase import dephasing
 from sidephase.config import build_channel
-from sidephase.dephasing import (
-    ExponentialCorrelation,
-    bisect_from,
-    bisect_increasing,
-    decoherence_time,
-    gamma_exact,
-)
+from sidephase.dephasing import ExponentialCorrelation, decoherence_time, gamma_exact
 from sidephase.mechanisms import channel_to_correlation
 
 TINY = sys.float_info.min
 HUGE = sys.float_info.max
+mp = mpmath.mp.clone()
+mp.dps = 30
+# Series terms below this fraction of the sum, and Newton steps below this
+# fraction of x, are dropped.
+SERIES_EPS = mp.mpf("1e-32")
+NEWTON_EPS = mp.mpf("1e-20")
 
 
-def bisection_time(correlation):
-    """The unit-gamma branch as it was before the Newton root: every step evaluates Gamma.
+def exact_kernel(x):
+    """x - 1 + exp(-x) and its slope 1 - exp(-x) at mp's precision, for an mpf x > 0."""
+    if x < 1e-3:
+        # The series keeps the digits that x - 1 + exp(-x) cancels; Newton
+        # needs only a few digits of the slope.
+        term = total = x * x / 2
+        n = 2
+        while abs(term) > total * SERIES_EPS:
+            n += 1
+            term *= -x / n
+            total += term
+        return total, x - x * x / 2 + x**3 / 6
+    # Above x = 1e-3 the cancellation costs at most 7 of mp's 30 digits, and
+    # above 1000 exp(-x) is below 1e-400 of x - 1.
+    decay = mp.exp(-x) if x < 1000 else 0
+    return x - 1 + decay, 1 - decay
 
-    Where variance * tau_c underflows to 0, Gamma < variance tau_c t stays
-    under 1 at every finite t, and a doubling that reaches inf finds no root
-    in float range: both give inf.
+
+def exact_root(correlation, guess):
+    """The t solving Gamma(t) = 1 for the exact Gamma, an mpf.
+
+    Static noise has the root sqrt(2/variance).  Otherwise Newton from
+    guess solves kernel(x) = 1/(variance tau_c^2) in x = t/tau_c; the
+    kernel is convex and increasing, so every step after the first comes
+    down to the root from above.
     """
-    if correlation.variance * correlation.tau_c == 0.0:
-        return math.inf
-    hi = correlation.variance ** -0.5
-    while gamma_exact(correlation, hi) < 1.0:
-        hi *= 2.0
-    if hi == math.inf:
-        return math.inf
-    return bisect_increasing(
-        lambda t: gamma_exact(correlation, t) - 1.0, 0.0, hi, rtol=1e-9
-    )
+    variance = mp.mpf(correlation.variance)
+    if correlation.is_static:
+        return mp.sqrt(2 / variance)
+    tau_c = mp.mpf(correlation.tau_c)
+    target = 1 / (variance * tau_c * tau_c)
+    x = mp.mpf(guess) / tau_c
+    for _ in range(100):
+        kernel, slope = exact_kernel(x)
+        step = (kernel - target) / slope
+        x -= step
+        if abs(step) < NEWTON_EPS * x:
+            return x * tau_c
+    raise AssertionError(f"mpmath Newton run did not settle: {correlation}")
 
 
-def outcome(solve, correlation):
-    try:
-        return solve(correlation)
-    except (ValueError, ArithmeticError) as exc:
-        return type(exc), str(exc)
+def root_exceeds_float_range(correlation):
+    """Whether the exact Gamma is still below 1 at the largest float."""
+    variance = mp.mpf(correlation.variance)
+    if correlation.is_static:
+        return variance * mp.mpf(HUGE) ** 2 / 2 < 1
+    tau_c = mp.mpf(correlation.tau_c)
+    return variance * tau_c * tau_c * exact_kernel(mp.mpf(HUGE) / tau_c)[0] < 1
 
 
-def assert_same(correlation):
-    expected = outcome(bisection_time, correlation)
-    got = outcome(lambda c: decoherence_time(c, "unit-gamma"), correlation)
-    assert got == expected, correlation
+def ulp_error(correlation, time):
+    """|time - root| in ulps of the exact root, and the root's x = t/tau_c."""
+    root = exact_root(correlation, time)
+    _, exponent = mp.frexp(root)
+    ulps = float(abs(mp.mpf(time) - root) / mp.ldexp(1, exponent - 53))
+    return ulps, float(root / mp.mpf(correlation.tau_c))
+
+
+def ulp_bound(x):
+    """The ulp bound for a root at x = t/tau_c.
+
+    Gamma's own rounding error, which peaks just above the kernel's series
+    switch at x = 0.05, sets the larger bounds.
+    """
+    if 0.05 <= x < 0.2:
+        return 12.0
+    if 0.2 <= x < 1.0:
+        return 5.0
+    return 3.0
+
+
+def assert_accurate(correlation):
+    time = decoherence_time(correlation, "unit-gamma")
+    if time == math.inf:
+        assert root_exceeds_float_range(correlation), correlation
+        return
+    assert 0.0 < time < math.inf, (correlation, time)
+    ulps, x = ulp_error(correlation, time)
+    assert ulps <= ulp_bound(x), (correlation, time, ulps, x)
 
 
 def log_uniform(rng, lo, hi):
@@ -77,12 +135,12 @@ def seeded_correlations(seed, n, exponents, tau_exponents):
 
 def test_whole_float_range():
     for correlation in seeded_correlations(20261018, 4000, (-307, 307), (-307, 307)):
-        assert_same(correlation)
+        assert_accurate(correlation)
 
 
 def test_physical_range():
     for correlation in seeded_correlations(20261019, 4000, (-6, 14), (-12, 12)):
-        assert_same(correlation)
+        assert_accurate(correlation)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True, database=None)
@@ -91,7 +149,7 @@ def test_physical_range():
     tau_c=st.floats(min_value=0.0, exclude_min=True),
 )
 def test_any_float_correlation(variance, tau_c):
-    assert_same(ExponentialCorrelation(variance, tau_c))
+    assert_accurate(ExponentialCorrelation(variance, tau_c))
 
 
 @pytest.mark.parametrize(
@@ -124,7 +182,7 @@ def test_any_float_correlation(variance, tau_c):
     ],
 )
 def test_edge_correlations(variance, tau_c):
-    assert_same(ExponentialCorrelation(variance, tau_c))
+    assert_accurate(ExponentialCorrelation(variance, tau_c))
 
 
 @pytest.mark.parametrize("x_root", [dephasing._SERIES_SWITCH, dephasing._KERNEL_SWITCH])
@@ -135,9 +193,9 @@ def test_roots_at_the_kernel_branch_switches(x_root, tau_c):
     for offset in (0.0, 1e-15, 1e-13, 1e-11, 1e-9, 1e-7):
         for x in {x_root * (1.0 - offset), x_root * (1.0 + offset)}:
             variance = 1.0 / (dephasing._gamma_kernel(x) * tau_c * tau_c)
-            assert_same(ExponentialCorrelation(variance, tau_c))
-            assert_same(ExponentialCorrelation(math.nextafter(variance, 0.0), tau_c))
-            assert_same(ExponentialCorrelation(math.nextafter(variance, math.inf), tau_c))
+            assert_accurate(ExponentialCorrelation(variance, tau_c))
+            assert_accurate(ExponentialCorrelation(math.nextafter(variance, 0.0), tau_c))
+            assert_accurate(ExponentialCorrelation(math.nextafter(variance, math.inf), tau_c))
 
 
 def kernel_ratio_root(ratio):
@@ -157,15 +215,15 @@ def kernel_ratio_root(ratio):
 def test_roots_on_a_bisection_midpoint(ratio, tau_c):
     # With variance = 1/(tau_c^2 kernel(x)), the root tau_c x sits at
     # ratio * variance^(-1/2).  A ratio with few binary digits makes that a
-    # midpoint the bisection visits, so Gamma there is 1 to within rounding
-    # and only evaluating it decides the step.  Stepping the variance ulp by
-    # ulp moves the root across the midpoint.
+    # midpoint that bisect_from visits from its start variance^(-1/2), so
+    # Gamma there is 1 to within rounding.  Stepping the variance ulp by ulp
+    # moves the root across the midpoint.
     x = kernel_ratio_root(ratio)
     variance = 1.0 / (dephasing._gamma_kernel(x) * tau_c * tau_c)
     for _ in range(40):
         variance = math.nextafter(variance, 0.0)
     for _ in range(81):
-        assert_same(ExponentialCorrelation(variance, tau_c))
+        assert_accurate(ExponentialCorrelation(variance, tau_c))
         variance = math.nextafter(variance, math.inf)
 
 
@@ -187,22 +245,17 @@ def default_correlations():
 
 @pytest.mark.parametrize("kind", ["hyperfine", "paramagnetic", "nuclear"])
 def test_default_channels(kind):
-    assert_same(default_correlations()[kind])
+    assert_accurate(default_correlations()[kind])
 
 
 def test_default_hyperfine_time_is_pinned():
     time = decoherence_time(default_correlations()["hyperfine"], "unit-gamma")
-    assert time == 0.0012762818239271676
+    assert time == 0.0012762818237494846
 
 
 @pytest.mark.parametrize("kind", ["hyperfine", "paramagnetic", "nuclear"])
 def test_solve_makes_few_gamma_calls(monkeypatch, kind):
-    # The plain bisection makes ~35 calls per solve (35 for the default
-    # hyperfine channel); the Newton root leaves ~0.11 on average (306
-    # calls in the 2,697 solves of the benchmark's sweep iteration), all
-    # within the band around the root.
-    correlation = default_correlations()[kind]
-    root = dephasing._unit_gamma_root(correlation)
+    # The Newton root is the time: a solve that finds one evaluates no Gamma.
     calls = []
 
     def counting(correlation, t):
@@ -210,54 +263,45 @@ def test_solve_makes_few_gamma_calls(monkeypatch, kind):
         return gamma_exact(correlation, t)
 
     monkeypatch.setattr(dephasing, "gamma_exact", counting)
-    decoherence_time(correlation, "unit-gamma")
-    assert len(calls) <= 8
-    assert all(root * (1.0 - 1e-11) <= t <= root * (1.0 + 1e-11) for t in calls)
+    decoherence_time(default_correlations()[kind], "unit-gamma")
+    assert calls == []
 
 
-@pytest.mark.parametrize("kind", ["hyperfine", "paramagnetic", "nuclear"])
-def test_solve_makes_few_python_calls(kind):
-    # Steps outside the band are decided in the loop, with no call; the
-    # Newton root and the few Gamma evaluations make the rest.  A call per
-    # step would make ~46.
-    correlation = default_correlations()[kind]
+def python_calls(correlation):
+    """The Python calls one unit-gamma solve makes."""
     calls = []
     sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code.co_name))
     try:
         decoherence_time(correlation, "unit-gamma")
     finally:
         sys.setprofile(None)
-    assert len(calls) <= 20
+    return calls
 
 
-@pytest.mark.parametrize("factor", [1.0 - 5e-12, 1.0 + 5e-12])
-def test_replay_does_not_depend_on_the_root_within_the_band(monkeypatch, factor):
-    # A guide root off by half the band still leaves the true root inside
-    # it, so every step that rounding could decide still evaluates Gamma.
-    newton_root = dephasing._unit_gamma_root
+@pytest.mark.parametrize("kind", ["hyperfine", "paramagnetic", "nuclear"])
+def test_solve_makes_few_python_calls(kind):
+    # The Newton run settles in a few steps, one kernel call (and one
+    # series call below x = 0.05) each: 9 calls per default solve.  The
+    # bisection makes four or so per Gamma call, ~230 in a median solve.
+    assert len(python_calls(default_correlations()[kind])) <= 20
 
-    def off_root(correlation):
-        root = newton_root(correlation)
-        return None if root is None else root * factor
 
-    monkeypatch.setattr(dephasing, "_unit_gamma_root", off_root)
-    for correlation in seeded_correlations(20261018, 4000, (-307, 307), (-307, 307)):
-        assert_same(correlation)
-    for correlation in default_correlations().values():
-        assert_same(correlation)
+def test_newton_solve_makes_few_python_calls():
+    # Across the whole float range Newton settles as fast: at most 11
+    # calls in these solves.
+    for correlation in seeded_correlations(20261018, 400, (-307, 307), (-307, 307)):
+        if dephasing._unit_gamma_root(correlation) is not None:
+            assert len(python_calls(correlation)) <= 20, correlation
 
 
 def test_newton_run_that_does_not_settle_takes_the_plain_bisection(monkeypatch):
     # With no Newton step allowed the run never settles: _unit_gamma_root
-    # returns None, and the solve evaluates Gamma at every step, which
-    # gives the same time as the Newton-guided replay.
+    # returns None, and the solve is bisect_from on Gamma - 1 to the
+    # float's resolution, held to the same bounds as the Newton root.
     seeded = seeded_correlations(20261019, 400, (-6, 14), (-12, 12))
     correlations = list(default_correlations().values())
     correlations += [c for c in seeded if not c.is_static][:300]
-    guided = [decoherence_time(c, "unit-gamma") for c in correlations]
     monkeypatch.setattr(dephasing, "_NEWTON_STEPS", 0)
-    for correlation, expected in zip(correlations, guided):
+    for correlation in correlations:
         assert dephasing._unit_gamma_root(correlation) is None
-        start = correlation.variance ** -0.5
-        plain = bisect_from(lambda t: gamma_exact(correlation, t) - 1.0, start, 1e-9)
-        assert decoherence_time(correlation, "unit-gamma") == expected == plain, correlation
+        assert_accurate(correlation)
