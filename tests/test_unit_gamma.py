@@ -294,6 +294,26 @@ def test_newton_solve_makes_few_python_calls():
             assert len(python_calls(correlation)) <= 20, correlation
 
 
+@pytest.mark.parametrize("factor", [1.0 - 5e-12, 1.0 + 5e-12])
+def test_replay_does_not_depend_on_the_root_within_the_band(factor):
+    # The oracle replays the solve at mp's precision from the float time
+    # under test.  Started instead from a point off by 5e-12, some 20,000
+    # ulp, it settles on the same root to within 2^-20 ulp, so starting it
+    # from the time under test does not pull the root towards that time.
+    correlations = [
+        *seeded_correlations(20261018, 400, (-307, 307), (-307, 307)),
+        *default_correlations().values(),
+    ]
+    for correlation in correlations:
+        time = decoherence_time(correlation, "unit-gamma")
+        if not math.isfinite(time * factor):
+            continue
+        root = exact_root(correlation, time)
+        _, exponent = mp.frexp(root)
+        shift = abs(exact_root(correlation, time * factor) - root)
+        assert shift <= mp.ldexp(1, exponent - 53 - 20), (correlation, time)
+
+
 def test_newton_run_that_does_not_settle_takes_the_plain_bisection(monkeypatch):
     # With no Newton step allowed the run never settles: _unit_gamma_root
     # returns None, and the solve is bisect_from on Gamma - 1 to the
