@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Subcommands: constants | channel | sweep | montecarlo | audit.  Every
-number in every report comes from a library call but three, which this
-module forms itself: the phonon decoherence time as 1/rate (_report), the
-phonon profile's Gamma as rate * t (_profile_for), and a ratio sweep's
-field as ratio * temperature (_sweep_row).  Otherwise it only parses
-arguments, routes, and serializes JSON.  CSV tables are written by
+number in every report comes from a library call but two, which this
+module forms itself: the phonon decoherence time as 1/rate (_report) and
+the phonon profile's Gamma as rate * t (_profile_for).  Otherwise it only
+parses arguments, routes, and serializes JSON.  CSV tables are written by
 dephasing.write_csv.
 
 Commands compute, main writes.  main opens every output the command was
@@ -42,7 +41,6 @@ from . import constants as const
 from .audit import build_audit, render_table
 from .config import (
     CHANNEL_KINDS,
-    CHANNELS,
     PARAMS,
     SweepSpec,
     UsageError,
@@ -242,14 +240,20 @@ def _profile_for(
     """Times and Gamma(t) on the --profile-out grid, checked before writing.
 
     Built from the report's rate or correlation, so the phonon channel's
-    Debye quadrature runs once.  check_profile refuses a grid whose times
-    repeat, as np.linspace gives where --t-max is too short for float64 to
-    hold --t-points distinct times; that is a usage error naming both options.
+    Debye quadrature runs once.  A grid whose times repeat, as np.linspace
+    gives where --t-max is too short for float64 to hold --t-points distinct
+    times, is a usage error naming both options, refused before Gamma is
+    evaluated; check_profile then checks the values.
     """
     import numpy as np
 
     kind = report["channel"]
     times = np.linspace(0.0, t_max, t_points)
+    if (times[1:] <= times[:-1]).any():
+        raise UsageError(
+            f"--t-max {t_max:.6g} s is too short for --t-points {t_points}: "
+            "the time grid repeats a time; lengthen --t-max or lower --t-points"
+        )
     if kind == "phonon":
         with np.errstate(over="ignore", invalid="ignore"):
             gamma_values = report["rates_per_s"]["exact-integral"] * times
@@ -263,15 +267,7 @@ def _profile_for(
             f"{kind} channel: Gamma(t) is not finite up to "
             f"--t-max {t_max:.6g} s; shorten --t-max"
         )
-    try:
-        check_profile(times, gamma_values)
-    except ValueError as exc:
-        if str(exc) != "times must be nonnegative and increasing":
-            raise
-        raise UsageError(
-            f"--t-max {t_max:.6g} s is too short for --t-points {t_points}: "
-            "the time grid repeats a time; lengthen --t-max or lower --t-points"
-        ) from None
+    check_profile(times, gamma_values)
     return times, gamma_values
 
 
@@ -293,13 +289,7 @@ def cmd_channel(args: argparse.Namespace) -> Outputs:
 
 def _sweep_row(spec: SweepSpec, value: float) -> dict:
     """One sweep row: the swept value, then fields of the channel report."""
-    params = dict(spec.fixed)
-    if spec.param == "ratio":
-        temperature = params.get("temperature", CHANNELS[spec.kind].temperature)
-        params["field"] = value * temperature
-    else:
-        params[spec.param] = value
-    channel = build_channel(spec.kind, params)
+    channel = build_channel(spec.kind, spec.params_at(value))
     report = _report(spec.kind, channel, "static")
     if spec.kind == "phonon":
         return {

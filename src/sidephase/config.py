@@ -65,7 +65,7 @@ PARAMS: dict[str, tuple[str, ...]] = {
 }
 
 # Parameters a sweep may vary.  "ratio" sweeps field/temperature at the
-# channel's fixed temperature by adjusting the field.
+# channel's fixed temperature by adjusting the field (SweepSpec.params_at).
 SWEEPABLE: dict[str, frozenset[str]] = {
     kind: frozenset(params)
     | ({"ratio"} if {"field", "temperature"} <= set(params) else set())
@@ -171,6 +171,17 @@ class SweepSpec:
             raise UsageError("log grids require a positive minimum")
         if not (math.isfinite(self.grid_min) and math.isfinite(self.grid_max)):
             raise UsageError("grid bounds must be finite")
+
+    def params_at(self, value: float) -> dict[str, float]:
+        """The channel parameters at one grid value: fixed, then the swept one.
+
+        A ratio sweep sets field = value * temperature, at the fixed
+        temperature or else the channel's default.
+        """
+        if self.param == "ratio":
+            temperature = self.fixed.get("temperature", CHANNELS[self.kind].temperature)
+            return {**self.fixed, "field": value * temperature}
+        return {**self.fixed, self.param: value}
 
 
 def parse_grid(text: str) -> tuple[float, float, int, str]:

@@ -125,6 +125,24 @@ class TestSweepSpec:
         with pytest.raises(UsageError):
             SweepSpec("hyperfine", "field", 1.0, 2.0, 3, "quadratic")
 
+    def test_ratio_at_a_fixed_temperature_sets_the_field(self):
+        fixed = {"temperature": 0.05, "tau1": 2.0}
+        spec = SweepSpec("hyperfine", "ratio", 5.0, 30.0, 6, "lin", fixed)
+        assert spec.params_at(20.0) == {"temperature": 0.05, "tau1": 2.0, "field": 20.0 * 0.05}
+        assert spec.fixed == {"temperature": 0.05, "tau1": 2.0}
+
+    def test_ratio_without_a_fixed_temperature_reads_the_default(self):
+        spec = SweepSpec("hyperfine", "ratio", 5.0, 30.0, 6, "lin")
+        temperature = HyperfineElectronChannel().temperature
+        assert spec.params_at(20.0) == {"field": 20.0 * temperature}
+        assert spec.fixed == {}
+
+    def test_swept_parameter_overrides_a_fixed_one(self):
+        fixed = {"field": 3.0, "temperature": 0.05}
+        spec = SweepSpec("hyperfine", "field", 1.0, 2.0, 3, "lin", fixed)
+        assert spec.params_at(1.5) == {"field": 1.5, "temperature": 0.05}
+        assert spec.fixed == {"field": 3.0, "temperature": 0.05}
+
 
 class TestConstantsCommand:
     def test_stdout_payload(self, capsys):

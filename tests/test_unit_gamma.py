@@ -325,3 +325,52 @@ def test_newton_run_that_does_not_settle_takes_the_plain_bisection(monkeypatch):
     for correlation in correlations:
         assert dephasing._unit_gamma_root(correlation) is None
         assert_accurate(correlation)
+
+
+def counted_solve(monkeypatch, correlation):
+    """The unit-gamma time and the number of Gamma calls its solve makes."""
+    calls = []
+
+    def counting(correlation, t):
+        calls.append(t)
+        return gamma_exact(correlation, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dephasing, "gamma_exact", counting)
+        time = decoherence_time(correlation, "unit-gamma")
+    return time, len(calls)
+
+
+# The fallback starts at the larger of the static and Markovian lower bounds
+# on the root, variance^(-1/2) and 1/(variance tau_c).  The root lies below
+# twice that start, so one doubling brackets it, and bisecting to the
+# float's resolution takes some 55 Gamma calls.
+FALLBACK_CALLS = 60
+
+
+@pytest.mark.parametrize("tau1", [1e-300, 1e-310, 7.5e-315])
+def test_fallback_brackets_the_root_in_one_doubling(monkeypatch, tau1):
+    # The scale variance tau_c^2 underflows, so Newton finds no root, and
+    # the root sits near the Markovian time, far above variance^(-1/2).
+    correlation = channel_to_correlation(build_channel("hyperfine", {"tau1": tau1}))
+    assert dephasing._unit_gamma_root(correlation) is None
+    time, calls = counted_solve(monkeypatch, correlation)
+    assert math.isfinite(time)
+    assert calls <= FALLBACK_CALLS, (tau1, calls)
+
+
+def test_fallback_beyond_float_range_makes_no_gamma_call(monkeypatch):
+    # 1/(variance tau_c) exceeds the largest float, so the start is inf.
+    correlation = channel_to_correlation(build_channel("hyperfine", {"tau1": 1e-320}))
+    assert counted_solve(monkeypatch, correlation) == (math.inf, 0)
+
+
+def test_fallback_calls_over_the_whole_float_range(monkeypatch):
+    fallbacks = 0
+    for correlation in seeded_correlations(20261018, 4000, (-307, 307), (-307, 307)):
+        if dephasing._unit_gamma_root(correlation) is not None:
+            continue
+        fallbacks += 1
+        time, calls = counted_solve(monkeypatch, correlation)
+        assert calls <= FALLBACK_CALLS, (correlation, time, calls)
+    assert fallbacks > 1000
