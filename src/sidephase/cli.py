@@ -2,10 +2,10 @@
 
 Subcommands: constants | channel | sweep | montecarlo | audit.  Every
 number in every report comes from a library call but two, which this
-module forms itself: the phonon decoherence time as 1/rate (_report) and
-the phonon profile's Gamma as rate * t (_profile_for).  Otherwise it only
-parses arguments, routes, and serializes JSON.  CSV tables are written by
-dephasing.write_csv.
+module forms itself, both in _report's phonon branch: the phonon
+decoherence time as 1/rate and the phonon profile's Gamma as rate * t.
+Otherwise it only parses arguments, routes, and serializes JSON.  CSV
+tables are written by dephasing.write_csv.
 
 Commands compute, main writes.  main opens every output the command was
 given, once each, and truncates none on opening.  The command then
@@ -41,7 +41,6 @@ from . import constants as const
 from .audit import build_audit, render_table
 from .config import (
     CHANNEL_KINDS,
-    PARAMS,
     SweepSpec,
     UsageError,
     build_channel,
@@ -196,11 +195,15 @@ def cmd_constants(args: argparse.Namespace) -> Outputs:
     return [(args.out, _json_text(_constants_payload()))]
 
 
-def _report(kind: str, channel, convention: str) -> dict:
-    """The channel's report; finite inputs too large for float arithmetic
-    are a usage error that names the channel."""
-    parameters = {key: getattr(channel, key) for key in PARAMS[kind]}
-    report: dict = {"channel": kind, "parameters": parameters}
+def _report(kind: str, channel, convention: str) -> tuple[dict, Callable]:
+    """The channel's report, and its Gamma over an array of times.
+
+    Gamma is the correlation's gamma_exact for an adiabatic channel and
+    rate * t for the phonon channel, whose rate the report already holds.
+    Finite inputs too large for float arithmetic are a usage error that
+    names the channel.
+    """
+    report: dict = {"channel": kind, "parameters": dict(vars(channel))}
     try:
         if kind == "phonon":
             rates = {mode: phonon_rate(channel, mode) for mode in PHONON_MODES}
@@ -213,7 +216,7 @@ def _report(kind: str, channel, convention: str) -> dict:
                 "low_temperature_valid": channel.low_temperature_valid,
                 "infinite_decoherence_time": math.isinf(td),
             }
-            return report
+            return report, lambda times: rate_exact * times
         correlation = channel_to_correlation(channel)
         times = {name: decoherence_time(correlation, name) for name in CONVENTIONS}
     except OverflowError:
@@ -231,37 +234,30 @@ def _report(kind: str, channel, convention: str) -> dict:
     if kind == "nuclear":
         flags["polarized"] = channel.polarized
     report["flags"] = flags
-    return report
+    return report, functools.partial(gamma_exact, correlation)
 
 
 def _profile_for(
-    report: dict, t_max: float, t_points: int
+    kind: str, gamma: Callable, t_max: float, t_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and Gamma(t) on the --profile-out grid, checked before writing.
 
-    Built from the report's rate or correlation, so the phonon channel's
-    Debye quadrature runs once.  A grid whose times repeat, as np.linspace
+    gamma is the one _report returned, so the phonon channel's Debye
+    quadrature runs once.  A grid whose times repeat, as np.linspace
     gives where --t-max is too short for float64 to hold --t-points distinct
     times, is a usage error naming both options, refused before Gamma is
     evaluated; check_profile then checks the values.
     """
     import numpy as np
 
-    kind = report["channel"]
     times = np.linspace(0.0, t_max, t_points)
     if (times[1:] <= times[:-1]).any():
         raise UsageError(
             f"--t-max {t_max:.6g} s is too short for --t-points {t_points}: "
             "the time grid repeats a time; lengthen --t-max or lower --t-points"
         )
-    if kind == "phonon":
-        with np.errstate(over="ignore", invalid="ignore"):
-            gamma_values = report["rates_per_s"]["exact-integral"] * times
-    else:
-        correlation = ExponentialCorrelation(
-            report["variance_rad2_per_s2"], report["correlation_time_s"]
-        )
-        gamma_values = gamma_exact(correlation, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma_values = gamma(times)
     if not np.isfinite(gamma_values).all():
         raise UsageError(
             f"{kind} channel: Gamma(t) is not finite up to "
@@ -279,8 +275,8 @@ def cmd_channel(args: argparse.Namespace) -> Outputs:
     if args.t_points < 2:
         raise UsageError("--t-points must be at least 2")
     channel = build_channel(args.kind, _config_section(args.config, args.kind))
-    report = _report(args.kind, channel, args.convention)
-    profile = args.profile_out and _profile_for(report, args.t_max, args.t_points)
+    report, gamma = _report(args.kind, channel, args.convention)
+    profile = args.profile_out and _profile_for(args.kind, gamma, args.t_max, args.t_points)
     outputs: Outputs = [(args.out, _json_text(report))]
     if profile:
         outputs.append((args.profile_out, lambda fh: write_profile_csv(fh, *profile)))
@@ -290,7 +286,7 @@ def cmd_channel(args: argparse.Namespace) -> Outputs:
 def _sweep_row(spec: SweepSpec, value: float) -> dict:
     """One sweep row: the swept value, then fields of the channel report."""
     channel = build_channel(spec.kind, spec.params_at(value))
-    report = _report(spec.kind, channel, "static")
+    report, _ = _report(spec.kind, channel, "static")
     if spec.kind == "phonon":
         return {
             spec.param: value,

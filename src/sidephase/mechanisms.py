@@ -90,6 +90,11 @@ class ThresholdUnattainableError(ValueError):
     """No field/temperature ratio reaches the requested target."""
 
 
+def _electron_ratio(channel) -> float:
+    """The electron's boltzmann_ratio x at the channel's field and temperature."""
+    return boltzmann_ratio(ELECTRON.gamma, channel.field, channel.temperature)
+
+
 @dataclass(frozen=True)
 class HyperfineElectronChannel:
     """Frequency noise from thermal flips of the donor electron.
@@ -108,9 +113,7 @@ class HyperfineElectronChannel:
     def __post_init__(self) -> None:
         _require_domain(self, nonnegative=("field",))
 
-    @property
-    def x(self) -> float:
-        return boltzmann_ratio(ELECTRON.gamma, self.field, self.temperature)
+    x = property(_electron_ratio)
 
     @property
     def adiabatic(self) -> bool:
@@ -273,9 +276,7 @@ class ParamagneticImpurityChannel:
     def __post_init__(self) -> None:
         _check_impurity(self)
 
-    @property
-    def x(self) -> float:
-        return boltzmann_ratio(ELECTRON.gamma, self.field, self.temperature)
+    x = property(_electron_ratio)
 
 
 def _dipolar_variance(concentration: float, gamma: float, thermal: float) -> float:

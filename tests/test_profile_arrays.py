@@ -390,3 +390,34 @@ def test_exp_keeps_a_2d_shape():
     result = dephasing._exp(x)
     assert result.shape == (3, 5)
     assert np.array_equal(_bits(result), _math_exp_bits(x))
+
+
+def test_phonon_profile_is_the_report_rate_times_t(tmp_path, capsys, monkeypatch):
+    # Theta/T = 31.25 is below the Debye saturation at 60, so the rate takes
+    # a quadrature: the report and the profile share one Debye integral,
+    # and the profile's Gamma, up to about 2.9, is that report's rate times
+    # t, bit for bit.
+    from sidephase import mechanisms
+
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return debye_integral(u)
+
+    debye_integral = mechanisms.debye_integral
+    monkeypatch.setattr(mechanisms, "debye_integral", counting)
+    config = tmp_path / "channels.ini"
+    config.write_text("[phonon]\ntemperature = 20.0\n")
+    report, profile = tmp_path / "r.json", tmp_path / "p.csv"
+    argv = ["channel", "phonon", "--config", str(config), "--out", str(report)]
+    argv += ["--profile-out", str(profile), "--t-max", "1e7", "--t-points", "4097"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == [31.25]
+    rate = json.loads(report.read_text())["rates_per_s"]["exact-integral"]
+    rows = [line.split(",") for line in profile.read_text().splitlines()[1:]]
+    assert len(rows) == 4097
+    times = np.array([float(t) for t, _, _ in rows])
+    gamma_values = np.array([float(g) for _, g, _ in rows])
+    assert (_bits(gamma_values) == _bits(rate * times)).all()

@@ -13,6 +13,12 @@ The bisection, which finds where the float Gamma - 1 changes sign, is held
 to the same bounds.  The time is inf exactly where the root exceeds the
 largest float, which includes every rate variance * tau_c that underflows
 to 0.
+
+Those bounds (ulp_bound) apply to every set here but one.  The dense
+band set, test_dense_roots_across_the_kernel_bands, places its roots at x
+from 0.01 to about 5 on purpose and holds each band to its own bound in
+DENSE_BOUNDS, the worst error measured there rounded up to a whole ulp:
+in [0.05, 0.1) that is 14 ulp, above ulp_bound's 12.
 """
 
 import math
@@ -141,6 +147,27 @@ def test_whole_float_range():
 def test_physical_range():
     for correlation in seeded_correlations(20261019, 4000, (-6, 14), (-12, 12)):
         assert_accurate(correlation)
+
+
+# (upper end of the band of x, ulp bound): the worst error over
+# test_dense_roots_across_the_kernel_bands's 6,000 roots, rounded up to a whole
+# ulp.  Measured: 2.52, 13.65, 7.17, 4.25, 2.27 and 2.66 ulp.
+DENSE_BOUNDS = ((0.05, 3.0), (0.1, 14.0), (0.2, 8.0), (0.5, 5.0), (1.0, 3.0), (math.inf, 3.0))
+
+
+def test_dense_roots_across_the_kernel_bands():
+    # variance = 1/(tau_c^2 kernel(x)) puts the root at t = tau_c x, so x is
+    # drawn log-uniform over [0.01, 10^0.7], across the series switch at 0.05
+    # where Gamma's own rounding error peaks.
+    rng = random.Random(44)
+    for _ in range(6000):
+        tau_c, x = log_uniform(rng, -6, 6), log_uniform(rng, -2, 0.7)
+        variance = 1.0 / (tau_c * tau_c * dephasing._gamma_kernel(x))
+        correlation = ExponentialCorrelation(variance, tau_c)
+        time = decoherence_time(correlation, "unit-gamma")
+        ulps, x_root = ulp_error(correlation, time)
+        bound = next(bound for upper, bound in DENSE_BOUNDS if x_root < upper)
+        assert ulps <= bound, (correlation, time, ulps, x_root)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True, database=None)
